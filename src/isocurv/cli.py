@@ -3,7 +3,8 @@
 Subcommands: eval, scan, verify-family, ode, mesh. Every run writes exactly
 one JSON report to standard output; CSV trajectories and OBJ meshes go to
 files. Exit codes: 0 when no check failed, 1 when a tolerance-gated check
-failed, 2 on any error (bad input, parse error, singularity, I/O).
+failed, 2 on any error (bad input, parse error, singularity, arithmetic
+overflow, I/O, or a report holding a non-finite number).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from typing import Callable, Optional
 
 from .curvature import curvatures
-from .domain import DEFAULT_EXCLUSION_RADIUS, GridDomain, SingularLocus
+from .domain import DEFAULT_EXCLUSION_RADIUS, GridDomain, VerticalLine
 from .errors import IsocurvError
 from .expr import Expr, eval_jet, parse, to_string
 from .families import (
@@ -204,7 +205,7 @@ def _report(
     }
 
 
-def _domain_from_args(args, loci: tuple[SingularLocus, ...] = ()) -> GridDomain:
+def _domain_from_args(args, loci: tuple[VerticalLine, ...] = ()) -> GridDomain:
     x_min, x_max, y_min, y_max = args.domain
     nx, ny = args.grid
     return GridDomain(
@@ -388,7 +389,7 @@ def cmd_ode(args) -> dict:
 
 
 def cmd_mesh(args) -> dict:
-    loci: tuple[SingularLocus, ...] = ()
+    loci: tuple[VerticalLine, ...] = ()
     params: dict = {}
     if args.spec is not None:
         spec = _load_spec(args.spec)
@@ -422,14 +423,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = _DISPATCH[args.command](args)
+        # RFC 8259 has no NaN or Infinity: such a report is an error.
+        text = json.dumps(report, indent=2, allow_nan=False)
     except json.JSONDecodeError as err:
         print(f"error: invalid JSON in family spec: {err}", file=sys.stderr)
         return 2
-    except (IsocurvError, ValueError, OSError) as err:
+    except (IsocurvError, ValueError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(text + "\n")
     return 1 if report["pass"] is False else 0
 
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 from .jet import Jet1, Jet2
 
-Point3 = tuple[float, float, float]
-
 
 @dataclass(frozen=True, slots=True)
 class CurvaturePair:
@@ -38,11 +36,3 @@ def factorable_curvatures(fj: Jet1, gj: Jet1) -> CurvaturePair:
     K = (fj.dd * fj.v) * (gj.dd * gj.v) - (fj.d * fj.d) * (gj.d * gj.d)
     H = 0.5 * (fj.dd * gj.v + fj.v * gj.dd)
     return CurvaturePair(K=K, H=H)
-
-
-def isotropic_distance(p: Point3, q: Point3) -> float:
-    """Isotropic point distance: the squared top-view distance.
-
-    The convention carries no square root; the z coordinates do not enter.
-    """
-    return (q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 DEFAULT_EXCLUSION_RADIUS = 1e-2
 
@@ -13,15 +12,6 @@ class VerticalLine:
     """Locus x = value, independent of y."""
 
     x: float
-
-
-@dataclass(frozen=True, slots=True)
-class IsolatedPoint:
-    x: float
-    y: float
-
-
-SingularLocus = Union[VerticalLine, IsolatedPoint]
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,7 +29,7 @@ class GridDomain:
     nx: int = 101
     ny: int = 101
     exclusion_radius: float = 0.0
-    singular_loci: tuple[SingularLocus, ...] = field(default=())
+    singular_loci: tuple[VerticalLine, ...] = field(default=())
 
     def __post_init__(self):
         if not self.x_min < self.x_max:
@@ -61,11 +51,6 @@ class GridDomain:
 
     def included(self, x: float, y: float) -> bool:
         for locus in self.singular_loci:
-            if isinstance(locus, VerticalLine):
-                if abs(x - locus.x) <= self.exclusion_radius:
-                    return False
-            else:
-                d = ((x - locus.x) ** 2 + (y - locus.y) ** 2) ** 0.5
-                if d <= self.exclusion_radius:
-                    return False
+            if abs(x - locus.x) <= self.exclusion_radius:
+                return False
         return True

@@ -22,6 +22,8 @@ num() helper builds constants in that form.
 Two independent evaluators are provided. eval_jet propagates second-order
 jets; eval_value is a plain float recursion kept free of any jet code so
 finite-difference checks built on it are a genuinely separate path.
+lift_1d reuses the jet walk for single-variable factors, seeding x and y
+alike and keeping the x components.
 """
 
 from __future__ import annotations
@@ -486,41 +488,6 @@ def variables(e: Expr) -> frozenset[str]:
             raise TypeError(f"not an expression node: {e!r}")
 
 
-def _eval_jet1(e: Expr, seed: Jet1) -> Jet1:
-    match e:
-        case Const(value=v):
-            return Jet1(v)
-        case Var():
-            return seed
-        case Neg(arg=a):
-            return -_eval_jet1(a, seed)
-        case Add(left=l, right=r):
-            return _eval_jet1(l, seed) + _eval_jet1(r, seed)
-        case Sub(left=l, right=r):
-            return _eval_jet1(l, seed) - _eval_jet1(r, seed)
-        case Mul(left=l, right=r):
-            return _eval_jet1(l, seed) * _eval_jet1(r, seed)
-        case Div(left=l, right=r):
-            return _eval_jet1(l, seed) / _eval_jet1(r, seed)
-        case Pow(base=b, exponent=ex):
-            bj = _eval_jet1(b, seed)
-            if ex == int(ex):
-                return jetmath.pow_int(bj, int(ex))
-            return jetmath.pow_real(bj, ex)
-        case Exp(arg=a):
-            return jetmath.exp(_eval_jet1(a, seed))
-        case Ln(arg=a):
-            return jetmath.ln(_eval_jet1(a, seed))
-        case Sin(arg=a):
-            return jetmath.sin(_eval_jet1(a, seed))
-        case Cos(arg=a):
-            return jetmath.cos(_eval_jet1(a, seed))
-        case Sqrt(arg=a):
-            return jetmath.sqrt(_eval_jet1(a, seed))
-        case _:
-            raise TypeError(f"not an expression node: {e!r}")
-
-
 def lift_1d(e: Expr, t0: float) -> Jet1:
     """Univariate jet of an expression in a single variable (x or y).
 
@@ -531,7 +498,10 @@ def lift_1d(e: Expr, t0: float) -> Jet1:
         raise MixedVariableError(
             "expression uses both x and y; a univariate lift needs one variable"
         )
-    j = _eval_jet1(e, jetmath.seed_t(t0))
+    # At most one variable occurs, so both may share the x seed; the x
+    # components of the result are then the univariate jet.
+    seed = jetmath.seed_x(t0)
+    j = _eval_jet2(e, seed, seed)
     if not j.is_finite():
         raise NumericOverflowError("jet evaluation produced a non-finite value")
-    return j
+    return Jet1(j.v, j.dx, j.dxx)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields as dataclass_fields, replace
 from typing import Optional, Union
 
 from .curvature import curvatures
-from .domain import GridDomain, SingularLocus, VerticalLine
+from .domain import GridDomain, VerticalLine
 from .errors import (
     EmptyDomainError,
     InvalidSpecError,
@@ -221,7 +221,7 @@ def build(spec: FamilySpec) -> Expr:
             raise InvalidSpecError(f"not a family spec: {spec!r}")
 
 
-def singular_loci(spec: FamilySpec) -> tuple[SingularLocus, ...]:
+def singular_loci(spec: FamilySpec) -> tuple[VerticalLine, ...]:
     """Loci a sampling grid must avoid for this family."""
     if isinstance(spec, Case31Candidate):
         return (VerticalLine(-spec.d9 / spec.c4),)

@@ -1,10 +1,13 @@
 """Second-order truncated Taylor arithmetic.
 
 Jet2 carries the value, both first partials, and the three independent
-second partials of a bivariate function; Jet1 is the univariate analogue.
-Arithmetic follows the product, quotient, and chain rules truncated at
-order two, so derivatives of polynomial expressions come out exact up to
-rounding. Both types are immutable.
+second partials of a bivariate function. Arithmetic follows the product,
+quotient, and chain rules truncated at order two, so derivatives of
+polynomial expressions come out exact up to rounding. Jets are immutable.
+
+The same rules serve a univariate function: seeded in x alone, the x
+components of a Jet2 are its value and two derivatives. Jet1 is a plain
+record of those three numbers, with no arithmetic of its own.
 
 The product rule terms are grouped symmetrically in each component, so
 a * b and b * a produce bit-for-bit identical jets (IEEE addition and
@@ -102,43 +105,12 @@ class Jet2:
 
 @dataclass(frozen=True, slots=True)
 class Jet1:
-    """Value and two derivatives of a univariate function at a point."""
+    """Value and two derivatives of a univariate function at a point, as
+    lift_1d returns them."""
 
     v: float
     d: float = 0.0
     dd: float = 0.0
-
-    def __add__(self, other: Jet1) -> Jet1:
-        return Jet1(self.v + other.v, self.d + other.d, self.dd + other.dd)
-
-    def __sub__(self, other: Jet1) -> Jet1:
-        return Jet1(self.v - other.v, self.d - other.d, self.dd - other.dd)
-
-    def __neg__(self) -> Jet1:
-        return Jet1(-self.v, -self.d, -self.dd)
-
-    def __mul__(self, other: Jet1) -> Jet1:
-        return Jet1(
-            self.v * other.v,
-            self.d * other.v + self.v * other.d,
-            (self.dd * other.v + self.v * other.dd) + 2.0 * (self.d * other.d),
-        )
-
-    def __truediv__(self, other: Jet1) -> Jet1:
-        if other.v == 0.0:
-            raise DivisionByZeroError("division by a quantity with zero value")
-        q = self.v / other.v
-        qd = (self.d - q * other.d) / other.v
-        qdd = (self.dd - 2.0 * qd * other.d - q * other.dd) / other.v
-        return Jet1(q, qd, qdd)
-
-    def chain(self, f0: float, f1: float, f2: float) -> Jet1:
-        return Jet1(f0, f1 * self.d, f1 * self.dd + f2 * (self.d * self.d))
-
-    def is_finite(self) -> bool:
-        return (
-            math.isfinite(self.v) and math.isfinite(self.d) and math.isfinite(self.dd)
-        )
 
 
 def seed_x(x0: float) -> Jet2:
@@ -149,11 +121,7 @@ def seed_y(y0: float) -> Jet2:
     return Jet2(y0, dy=1.0)
 
 
-def seed_t(t0: float) -> Jet1:
-    return Jet1(t0, d=1.0)
-
-
-def exp(j):
+def exp(j: Jet2) -> Jet2:
     try:
         e = math.exp(j.v)
     except OverflowError:
@@ -161,39 +129,39 @@ def exp(j):
     return j.chain(e, e, e)
 
 
-def ln(j):
+def ln(j: Jet2) -> Jet2:
     if j.v <= 0.0:
         raise EvaluationDomainError(f"ln of non-positive value {j.v!r}")
     inv = 1.0 / j.v
     return j.chain(math.log(j.v), inv, -(inv * inv))
 
 
-def sin(j):
+def sin(j: Jet2) -> Jet2:
     s = math.sin(j.v)
     return j.chain(s, math.cos(j.v), -s)
 
 
-def cos(j):
+def cos(j: Jet2) -> Jet2:
     c = math.cos(j.v)
     return j.chain(c, -math.sin(j.v), -c)
 
 
-def sqrt(j):
+def sqrt(j: Jet2) -> Jet2:
     if j.v <= 0.0:
         raise EvaluationDomainError(f"sqrt of non-positive value {j.v!r}")
     r = math.sqrt(j.v)
     return j.chain(r, 0.5 / r, -0.25 / (r * j.v))
 
 
-def pow_int(j, n: int):
+def pow_int(j: Jet2, n: int) -> Jet2:
     """Integer power by square-and-multiply. Stays within jet products, so
     polynomial jets remain exact; no positivity requirement on the base."""
     if n == 0:
-        return type(j)(1.0)
+        return Jet2(1.0)
     if n < 0:
         if j.v == 0.0:
             raise DivisionByZeroError("zero base raised to a negative power")
-        return type(j)(1.0) / pow_int(j, -n)
+        return Jet2(1.0) / pow_int(j, -n)
     acc = None
     base = j
     k = n
@@ -206,7 +174,7 @@ def pow_int(j, n: int):
     return acc
 
 
-def pow_real(j, r: float):
+def pow_real(j: Jet2, r: float) -> Jet2:
     """Real power; requires a strictly positive base value."""
     if j.v <= 0.0:
         raise EvaluationDomainError(

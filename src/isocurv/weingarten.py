@@ -129,20 +129,19 @@ def summarize(values: list[float], points: list[tuple[float, float]]) -> Residua
     if not values:
         raise EmptyDomainError("no samples survived exclusion")
     n = len(values)
-    sum_r = 0.0
-    sum_r2 = 0.0
     sum_abs = 0.0
     max_abs = -1.0
     worst = points[0]
     for r, pt in zip(values, points):
-        sum_r += r
-        sum_r2 += r * r
         sum_abs += abs(r)
         if abs(r) > max_abs:
             max_abs = abs(r)
             worst = pt
-    mean = sum_r / n
-    variance = max(sum_r2 / n - mean * mean, 0.0)
+    # Two correctly rounded passes over the values shifted by the first
+    # one: a constant input gives exactly zero, not a rounding residue.
+    shift = values[0]
+    mean = math.fsum(r - shift for r in values) / n
+    variance = math.fsum((r - shift - mean) ** 2 for r in values) / n
     return ResidualReport(
         n_samples=n,
         max_abs=max_abs,

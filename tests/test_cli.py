@@ -83,6 +83,27 @@ def test_eval_singularity_is_an_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # The jet is finite, but K = -(1e200)^2 overflows.
+        "eval --surface 1e200*x*y --at 1,1",
+        # A NaN coefficient makes every residual NaN.
+        "scan --surface x^2+y^2 --residual lw --a nan --b 1 --c 0 --grid 5,5",
+        # ZeroDivisionError in the central differences.
+        "scan --surface x^2+y^2 --residual jacobian --fd-step 0 --grid 5,5",
+        # OverflowError from rounding an infinite step count.
+        "ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1e300 --step 1e-300",
+    ],
+)
+def test_non_finite_or_arithmetic_failure_is_refused(capsys, argv):
+    code, report, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert report is None
+    assert err.startswith("error:")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
 def test_eval_is_byte_stable(capsys):
     main(["eval", "--surface", "exp(x)*sin(y)", "--at", "0.3,0.7"])
     first = capsys.readouterr().out
@@ -124,6 +145,23 @@ def test_scan_euler_fail(capsys):
     assert code == 1
     assert report["pass"] is False
     assert report["result"]["max_abs"] == 4.0
+    assert report["result"]["std_dev"] == 0.0
+
+
+def test_scan_constant_residual_has_exactly_zero_deviation(capsys):
+    # The Euler residual of x^2+0.62*y^2 is 0.5776 at every node.
+    code, report, _ = run_cli(
+        capsys,
+        "scan",
+        "--surface",
+        "x^2+0.62*y^2",
+        "--residual",
+        "euler",
+        "--grid",
+        "101,101",
+    )
+    assert code == 1
+    assert report["result"]["max_abs"] == pytest.approx(0.5776, rel=1e-12)
     assert report["result"]["std_dev"] == 0.0
 
 

@@ -5,7 +5,6 @@ from isocurv import (
     curvatures,
     eval_jet,
     factorable_curvatures,
-    isotropic_distance,
     lift_1d,
     parse,
 )
@@ -55,16 +54,3 @@ def test_factorable_hand_values():
     pair = factorable_curvatures(lift_1d(parse("x^2"), 1.0), lift_1d(parse("y"), 2.0))
     assert pair.K == 2.0 * 1.0 * (0.0 * 2.0) - 4.0 * 1.0  # -4
     assert pair.H == 0.5 * (2.0 * 2.0 + 1.0 * 0.0)  # 2
-
-
-def test_isotropic_distance_is_squared_top_view():
-    assert isotropic_distance((0.0, 0.0, 0.0), (3.0, 4.0, 99.0)) == 25.0
-    # Points stacked over the same footprint have distance zero.
-    assert isotropic_distance((1.0, 2.0, 5.0), (1.0, 2.0, -7.0)) == 0.0
-    assert isotropic_distance((1.0, 1.0, 0.0), (1.0, 1.0, 0.0)) == 0.0
-
-
-def test_isotropic_distance_is_symmetric():
-    p = (0.3, -1.2, 4.0)
-    q = (-2.0, 0.5, 1.0)
-    assert isotropic_distance(p, q) == isotropic_distance(q, p)

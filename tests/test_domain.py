@@ -3,7 +3,6 @@ import pytest
 from isocurv import (
     DEFAULT_EXCLUSION_RADIUS,
     GridDomain,
-    IsolatedPoint,
     VerticalLine,
 )
 
@@ -61,29 +60,19 @@ def test_vertical_line_exclusion():
     assert d.included(0.0, 0.0)
 
 
-def test_isolated_point_exclusion():
-    d = GridDomain(
-        exclusion_radius=0.5, singular_loci=(IsolatedPoint(1.0, 1.0),)
-    )
-    assert not d.included(1.0, 1.0)
-    assert not d.included(1.3, 1.4)  # distance 0.5, boundary excluded
-    assert d.included(1.31, 1.4)
-    assert d.included(0.0, 1.0)
-
-
 def test_zero_radius_still_drops_exact_hits():
-    d = GridDomain(singular_loci=(VerticalLine(0.0), IsolatedPoint(0.5, 0.5)))
+    d = GridDomain(singular_loci=(VerticalLine(0.0), VerticalLine(0.5)))
     assert d.exclusion_radius == 0.0
     assert not d.included(0.0, 0.7)
     assert not d.included(0.5, 0.5)
     assert d.included(1e-300, 0.7)
-    assert d.included(0.5, 0.5 + 1e-12)
+    assert d.included(0.5 + 1e-12, 0.5)
 
 
 def test_multiple_loci_combine():
     d = GridDomain(
         exclusion_radius=0.25,
-        singular_loci=(VerticalLine(-0.5), IsolatedPoint(0.5, 0.0)),
+        singular_loci=(VerticalLine(-0.5), VerticalLine(0.5)),
     )
     assert not d.included(-0.4, 0.9)
     assert not d.included(0.5, 0.2)

@@ -1,8 +1,11 @@
 """Parser, printer, and evaluator tests for the expression language."""
 
+import dataclasses
 import math
+import random
 
 import pytest
+from conftest import SEED, random_expr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +17,7 @@ from isocurv import (
     DivisionByZeroError,
     EvaluationDomainError,
     Exp,
+    IsocurvError,
     Ln,
     MixedVariableError,
     Mul,
@@ -331,13 +335,59 @@ def test_lift_1d_rejects_mixed_variables():
         lift_1d(parse("x*y"), 1.0)
 
 
-def test_lift_1d_matches_2d_jet_on_x_slice():
-    expr = parse("exp(x)*sin(x)+x^3")
-    j1 = lift_1d(expr, 0.8)
-    j2 = eval_jet(expr, (0.8, 0.0))
-    assert j1.v == pytest.approx(j2.v, rel=1e-15)
-    assert j1.d == pytest.approx(j2.dx, rel=1e-15)
-    assert j1.dd == pytest.approx(j2.dxx, rel=1e-15)
+def _single_variable(e, name):
+    """Copy of e with every variable renamed to name."""
+    if isinstance(e, Var):
+        return Var(name)
+    return type(e)(
+        *(
+            _single_variable(getattr(e, f.name), name)
+            if dataclasses.is_dataclass(getattr(e, f.name))
+            else getattr(e, f.name)
+            for f in dataclasses.fields(e)
+        )
+    )
+
+
+def _lifted(e, t):
+    j = lift_1d(e, t)
+    return j.v, j.d, j.dd
+
+
+def _x_slice(e, t):
+    j = eval_jet(e, (t, 0.0))
+    return j.v, j.dx, j.dxx
+
+
+def _y_slice(e, t):
+    j = eval_jet(e, (0.0, t))
+    return j.v, j.dy, j.dyy
+
+
+def _bits_or_error(fn, e, t):
+    try:
+        return tuple(c.hex() for c in fn(e, t))
+    except (IsocurvError, ValueError) as exc:
+        # math.sin/math.cos raise a bare ValueError on an infinite
+        # argument; it must still agree between the two paths.
+        return type(exc)
+
+
+def test_lift_1d_matches_2d_jet_bitwise():
+    # lift_1d of a single-variable tree must reproduce the matching slice
+    # of eval_jet bit for bit, or fail with the same error class. Large
+    # arguments are drawn too, so the overflow paths are compared as well.
+    rng = random.Random(SEED + 2)
+    errors = 0
+    for _ in range(1500):
+        tree = random_expr(rng, rng.randint(1, 4))
+        t = rng.uniform(-1.0, 1.0) * rng.choice((1.0, 1.0, 30.0, 900.0, 1e160))
+        for name, expected in (("x", _x_slice), ("y", _y_slice)):
+            e = _single_variable(tree, name)
+            want = _bits_or_error(expected, e, t)
+            assert _bits_or_error(_lifted, e, t) == want, to_string(e)
+        errors += isinstance(want, type)
+    assert 0 < errors < 1500
 
 
 def test_lift_1d_infinite_rejected():

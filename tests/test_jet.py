@@ -14,7 +14,7 @@ from isocurv.errors import (
     EvaluationDomainError,
     NumericOverflowError,
 )
-from isocurv.jet import Jet1, Jet2, seed_t, seed_x, seed_y
+from isocurv.jet import Jet2, seed_x, seed_y
 
 finite = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -31,7 +31,6 @@ def jets2(nonzero_value: bool = False):
 def test_seeds():
     assert seed_x(2.0) == Jet2(2.0, dx=1.0)
     assert seed_y(-1.5) == Jet2(-1.5, dy=1.0)
-    assert seed_t(0.25) == Jet1(0.25, d=1.0)
 
 
 def test_polynomial_jet_is_exact():
@@ -59,8 +58,6 @@ def test_division_matches_product_rule():
 def test_division_by_zero_value():
     with pytest.raises(DivisionByZeroError):
         Jet2(1.0) / Jet2(0.0, 1.0)
-    with pytest.raises(DivisionByZeroError):
-        Jet1(1.0) / Jet1(0.0, 1.0)
 
 
 def test_exp_jet():
@@ -159,18 +156,3 @@ def test_division_inverts_multiplication(a, b):
         qv = getattr(q, name)
         av = getattr(a, name)
         assert qv == pytest.approx(av, rel=1e-6, abs=1e-6 * (1.0 + abs(av)))
-
-
-def test_jet1_arithmetic():
-    t = seed_t(2.0)
-    p = t * t * t  # t^3
-    assert p.v == 8.0 and p.d == 12.0 and p.dd == 12.0
-    q = Jet1(1.0) / t  # 1/t
-    assert q.v == 0.5
-    assert q.d == -0.25
-    assert q.dd == 0.25  # 2/t^3
-
-
-def test_jet1_chain():
-    j = jet.exp(seed_t(0.0))
-    assert j == Jet1(1.0, 1.0, 1.0)

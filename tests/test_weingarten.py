@@ -140,6 +140,14 @@ def test_summarize_single_sample_has_zero_deviation():
     assert report.max_abs == 5.0
 
 
+def test_summarize_constant_input_has_exactly_zero_deviation():
+    # A one-pass sqrt(E[r^2] - mean^2) would leave a residue of 6.8e-9.
+    values = [0.1] * 101
+    report = summarize(values, [(float(i), 0.0) for i in range(101)])
+    assert report.std_dev == 0.0
+    assert report.max_abs == 0.1
+
+
 def test_summarize_empty_raises():
     with pytest.raises(EmptyDomainError):
         summarize([], [])
