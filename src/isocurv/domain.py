@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import require_finite
+
 DEFAULT_EXCLUSION_RADIUS = 1e-2
 
 
@@ -32,6 +34,7 @@ class GridDomain:
     singular_loci: tuple[VerticalLine, ...] = field(default=())
 
     def __post_init__(self):
+        require_finite(self, "x_min", "x_max", "y_min", "y_max", "exclusion_radius")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
         if not self.y_min < self.y_max:

@@ -4,6 +4,16 @@ Everything raised on purpose derives from IsocurvError so callers can catch
 one base class at the boundary (the CLI does exactly that).
 """
 
+import math
+
+
+def require_finite(record, *names: str) -> None:
+    """Raise ValueError naming the first of record's fields that is not a
+    finite number."""
+    for name in names:
+        if not math.isfinite(getattr(record, name)):
+            raise ValueError(f"{name} must be finite")
+
 
 class IsocurvError(Exception):
     """Base class for all errors raised by this package."""

@@ -19,11 +19,11 @@ parse(to_string(e)) reproduces e node for node whenever e is in parse
 normal form, i.e. every negative constant is spelled Neg(Const(+c)). The
 num() helper builds constants in that form.
 
-Two independent evaluators are provided. eval_jet propagates second-order
-jets; eval_value is a plain float recursion kept free of any jet code so
-finite-difference checks built on it are a genuinely separate path.
-lift_1d reuses the jet walk for single-variable factors, seeding x and y
-alike and keeping the x components.
+Two independent evaluators are provided. eval_jet runs the kernel that
+compile_jet builds once per tree from the jet rules; eval_value is a plain
+float recursion kept free of any jet code so finite-difference checks
+built on it are a genuinely separate path. lift_1d runs the same kernel on
+single-variable factors and keeps the partials in the variable used.
 """
 
 from __future__ import annotations
@@ -407,10 +407,13 @@ def _eval_plain(e: Expr, x: float, y: float) -> float:
             if v <= 0.0:
                 raise EvaluationDomainError(f"ln of non-positive value {v!r}")
             return math.log(v)
-        case Sin(arg=a):
-            return math.sin(_eval_plain(a, x, y))
-        case Cos(arg=a):
-            return math.cos(_eval_plain(a, x, y))
+        case Sin(arg=a) | Cos(arg=a):
+            v = _eval_plain(a, x, y)
+            fn = math.sin if isinstance(e, Sin) else math.cos
+            try:
+                return fn(v)
+            except ValueError:
+                raise NumericOverflowError(f"{fn.__name__} of non-finite argument {v!r}") from None
         case Sqrt(arg=a):
             v = _eval_plain(a, x, y)
             if v <= 0.0:
@@ -428,47 +431,64 @@ def eval_value(e: Expr, p: tuple[float, float]) -> float:
     return v
 
 
-def _eval_jet2(e: Expr, jx: Jet2, jy: Jet2) -> Jet2:
+def _emit(t: jetmath.Tape, e: Expr, x: jetmath.Src, y: jetmath.Src) -> jetmath.Src:
     match e:
         case Const(value=v):
-            return Jet2(v)
+            # repr round-trips a finite float exactly; float() takes inf and nan.
+            return t.jet(repr(v) if math.isfinite(v) else f"float('{v}')", *jetmath.ONE[1:])
         case Var(name=name):
-            return jx if name == "x" else jy
-        case Neg(arg=a):
-            return -_eval_jet2(a, jx, jy)
-        case Add(left=l, right=r):
-            return _eval_jet2(l, jx, jy) + _eval_jet2(r, jx, jy)
-        case Sub(left=l, right=r):
-            return _eval_jet2(l, jx, jy) - _eval_jet2(r, jx, jy)
-        case Mul(left=l, right=r):
-            return _eval_jet2(l, jx, jy) * _eval_jet2(r, jx, jy)
-        case Div(left=l, right=r):
-            return _eval_jet2(l, jx, jy) / _eval_jet2(r, jx, jy)
+            return x if name == "x" else y
+        case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) | Div(left=l, right=r):
+            return _JET_RULES[type(e)](t, _emit(t, l, x, y), _emit(t, r, x, y))
         case Pow(base=b, exponent=ex):
-            bj = _eval_jet2(b, jx, jy)
+            bj = _emit(t, b, x, y)
+            if not math.isfinite(ex):
+                # int() refuses it: raise that error in the kernel, after
+                # the base is evaluated, where a tree walk would.
+                t.lines.append(f"int(float('{ex}'))")
+                return bj
             if ex == int(ex):
-                return jetmath.pow_int(bj, int(ex))
-            return jetmath.pow_real(bj, ex)
-        case Exp(arg=a):
-            return jetmath.exp(_eval_jet2(a, jx, jy))
-        case Ln(arg=a):
-            return jetmath.ln(_eval_jet2(a, jx, jy))
-        case Sin(arg=a):
-            return jetmath.sin(_eval_jet2(a, jx, jy))
-        case Cos(arg=a):
-            return jetmath.cos(_eval_jet2(a, jx, jy))
-        case Sqrt(arg=a):
-            return jetmath.sqrt(_eval_jet2(a, jx, jy))
+                return jetmath.pow_int(t, bj, int(ex))
+            return jetmath.pow_real(t, bj, ex)
+        case Neg(arg=a) | Exp(arg=a) | Ln(arg=a) | Sin(arg=a) | Cos(arg=a) | Sqrt(arg=a):
+            return _JET_RULES[type(e)](t, _emit(t, a, x, y))
         case _:
             raise TypeError(f"not an expression node: {e!r}")
 
 
+_JET_RULES = {
+    Add: jetmath.add, Sub: jetmath.sub, Mul: jetmath.mul, Div: jetmath.div, Neg: jetmath.neg,
+    Exp: jetmath.exp, Ln: jetmath.ln, Sin: jetmath.sin, Cos: jetmath.cos, Sqrt: jetmath.sqrt,
+}
+
+
+def compile_jet(e: Expr):
+    """Compile e once into kernel(x, y) -> Jet2: straight-line statements
+    that compute its second-order jet at (x, y), bit for bit as one jet
+    operation at a time would, raising the same errors."""
+    t = jetmath.Tape()
+    seeds = ("x", "1.0", "0.0", "0.0", "0.0", "0.0"), ("y", "0.0", "1.0", "0.0", "0.0", "0.0")
+    return t.function(_emit(t, e, *seeds))
+
+
+# id(tree) -> (tree, kernel) for the trees evaluated last; holding the tree
+# keeps its id from being reused while the entry lives.
+_KERNELS: dict[int, tuple] = {}
+
+
+def _kernel(e: Expr):
+    hit = _KERNELS.get(id(e))
+    if hit is None:
+        if len(_KERNELS) >= 16:
+            _KERNELS.clear()
+        hit = _KERNELS[id(e)] = (e, compile_jet(e))
+    return hit[1]
+
+
 def eval_jet(e: Expr, p: tuple[float, float]) -> Jet2:
-    """Value and all partials up to order two at p, by jet propagation."""
-    j = _eval_jet2(e, jetmath.seed_x(p[0]), jetmath.seed_y(p[1]))
-    if not j.is_finite():
-        raise NumericOverflowError("jet evaluation produced a non-finite value")
-    return j
+    """Value and all partials up to order two at p, by the compiled kernel
+    of e."""
+    return _kernel(e)(p[0], p[1])
 
 
 def variables(e: Expr) -> frozenset[str]:
@@ -498,10 +518,6 @@ def lift_1d(e: Expr, t0: float) -> Jet1:
         raise MixedVariableError(
             "expression uses both x and y; a univariate lift needs one variable"
         )
-    # At most one variable occurs, so both may share the x seed; the x
-    # components of the result are then the univariate jet.
-    seed = jetmath.seed_x(t0)
-    j = _eval_jet2(e, seed, seed)
-    if not j.is_finite():
-        raise NumericOverflowError("jet evaluation produced a non-finite value")
-    return Jet1(j.v, j.dx, j.dxx)
+    # The rules treat x and y alike: the partials in the variable used are its jet.
+    j = _kernel(e)(t0, t0)
+    return Jet1(j.v, j.dx, j.dxx) if "x" in used else Jet1(j.v, j.dy, j.dyy)

@@ -1,25 +1,24 @@
-"""Second-order truncated Taylor arithmetic.
+"""Second-order truncated Taylor rules, emitted as straight-line source.
 
-Jet2 carries the value, both first partials, and the three independent
-second partials of a bivariate function. Arithmetic follows the product,
-quotient, and chain rules truncated at order two, so derivatives of
-polynomial expressions come out exact up to rounding. Jets are immutable.
-
-The same rules serve a univariate function: seeded in x alone, the x
-components of a Jet2 are its value and two derivatives. Jet1 is a plain
-record of those three numbers, with no arithmetic of its own.
-
-The product rule terms are grouped symmetrically in each component, so
-a * b and b * a produce bit-for-bit identical jets (IEEE addition and
-multiplication are commutative; only re-association changes rounding).
+Jet2 holds the value and the partials up to order two of z(x, y) at a
+point, and Jet1 the value and two derivatives lift_1d returns; neither has
+arithmetic. Each rule appends to a Tape the statements that compute its
+result and returns the result's source, so the formulas, their guards and
+their error messages live here alone; expr.compile_jet walks a tree once
+through the rules. Each rule keeps the operation order of its formula, so a
+kernel computes bit for bit what one jet operation at a time would. The
+product rule terms are grouped symmetrically in each component, so a * b
+and b * a produce identical jets (IEEE addition and multiplication are
+commutative; only re-association changes rounding).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
-from .errors import DivisionByZeroError, EvaluationDomainError, NumericOverflowError
+from . import errors
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,75 +32,6 @@ class Jet2:
     dxy: float = 0.0
     dyy: float = 0.0
 
-    def __add__(self, other: Jet2) -> Jet2:
-        return Jet2(
-            self.v + other.v,
-            self.dx + other.dx,
-            self.dy + other.dy,
-            self.dxx + other.dxx,
-            self.dxy + other.dxy,
-            self.dyy + other.dyy,
-        )
-
-    def __sub__(self, other: Jet2) -> Jet2:
-        return Jet2(
-            self.v - other.v,
-            self.dx - other.dx,
-            self.dy - other.dy,
-            self.dxx - other.dxx,
-            self.dxy - other.dxy,
-            self.dyy - other.dyy,
-        )
-
-    def __neg__(self) -> Jet2:
-        return Jet2(-self.v, -self.dx, -self.dy, -self.dxx, -self.dxy, -self.dyy)
-
-    def __mul__(self, other: Jet2) -> Jet2:
-        # Each component is a sum of products that maps onto itself under
-        # operand swap, which is what makes the product commute exactly.
-        return Jet2(
-            self.v * other.v,
-            self.dx * other.v + self.v * other.dx,
-            self.dy * other.v + self.v * other.dy,
-            (self.dxx * other.v + self.v * other.dxx) + 2.0 * (self.dx * other.dx),
-            (self.dxy * other.v + self.v * other.dxy)
-            + (self.dx * other.dy + self.dy * other.dx),
-            (self.dyy * other.v + self.v * other.dyy) + 2.0 * (self.dy * other.dy),
-        )
-
-    def __truediv__(self, other: Jet2) -> Jet2:
-        if other.v == 0.0:
-            raise DivisionByZeroError("division by a quantity with zero value")
-        q = self.v / other.v
-        qx = (self.dx - q * other.dx) / other.v
-        qy = (self.dy - q * other.dy) / other.v
-        qxx = (self.dxx - 2.0 * qx * other.dx - q * other.dxx) / other.v
-        qxy = (self.dxy - qx * other.dy - qy * other.dx - q * other.dxy) / other.v
-        qyy = (self.dyy - 2.0 * qy * other.dy - q * other.dyy) / other.v
-        return Jet2(q, qx, qy, qxx, qxy, qyy)
-
-    def chain(self, f0: float, f1: float, f2: float) -> Jet2:
-        """Compose with a scalar map given its value and two derivatives
-        taken at self.v."""
-        return Jet2(
-            f0,
-            f1 * self.dx,
-            f1 * self.dy,
-            f1 * self.dxx + f2 * (self.dx * self.dx),
-            f1 * self.dxy + f2 * (self.dx * self.dy),
-            f1 * self.dyy + f2 * (self.dy * self.dy),
-        )
-
-    def is_finite(self) -> bool:
-        return (
-            math.isfinite(self.v)
-            and math.isfinite(self.dx)
-            and math.isfinite(self.dy)
-            and math.isfinite(self.dxx)
-            and math.isfinite(self.dxy)
-            and math.isfinite(self.dyy)
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Jet1:
@@ -113,77 +43,176 @@ class Jet1:
     dd: float = 0.0
 
 
-def seed_x(x0: float) -> Jet2:
-    return Jet2(x0, dx=1.0)
+# The source of a jet: six atoms (names or unsigned literals) in Jet2's
+# field order, spliced into formulas as they are.
+Src = tuple[str, str, str, str, str, str]
+ONE: Src = ("1.0", "0.0", "0.0", "0.0", "0.0", "0.0")
+_ATOM = re.compile(r"[A-Za-z_]\w*|\d+\.\d+")
+
+# Emitted statements call math's functions and raise the package's errors.
+_NAMESPACE = {k: v for k, v in vars(math).items() if not k.startswith("_")}
+_NAMESPACE.update(Jet2=Jet2, errors=errors)
 
 
-def seed_y(y0: float) -> Jet2:
-    return Jet2(y0, dy=1.0)
+def _error(cls: str, text: str, value: str) -> str:
+    """Source of cls(text), with the repr of the atom value appended if given."""
+    return f'errors.{cls}(f"{text} {{{value}!r}}")' if value else f'errors.{cls}("{text}")'
 
 
-def exp(j: Jet2) -> Jet2:
-    try:
-        e = math.exp(j.v)
-    except OverflowError:
-        raise NumericOverflowError(f"exp overflow at argument {j.v!r}") from None
-    return j.chain(e, e, e)
+class Tape:
+    """The statements of one kernel, in evaluation order."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+
+    def let(self, source: str) -> str:
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {source}")
+        return name
+
+    def jet(self, *components: str) -> Src:
+        """Bind each component that is not already an atom to a new local."""
+        return tuple(c if _ATOM.fullmatch(c) else self.let(c) for c in components)
+
+    def check(self, condition: str, cls: str, text: str, value: str = "") -> None:
+        self.lines.append(f"if {condition}:\n    raise {_error(cls, text, value)}")
+
+    def trap(self, caught: str, cls: str, text: str, value: str, *sources: str) -> list[str]:
+        """Let each source in turn, raising cls in place of caught."""
+        names = [f"t{len(self.lines)}_{i}" for i in range(len(sources))]
+        body = "".join(f"\n    {n} = {s}" for n, s in zip(names, sources))
+        error = _error(cls, text, value)
+        self.lines.append(f"try:{body}\nexcept {caught}:\n    raise {error} from None")
+        return names
+
+    def function(self, result: Src):
+        """Compile into kernel(x, y) -> Jet2, refusing a non-finite result."""
+        self.check(" or ".join(f"not isfinite({c})" for c in result),
+                   "NumericOverflowError", "jet evaluation produced a non-finite value")
+        self.lines.append(f"return Jet2({', '.join(result)})")
+        body = "".join(f"\n    {line}" for entry in self.lines for line in entry.split("\n"))
+        namespace = dict(_NAMESPACE)
+        exec(compile(f"def kernel(x, y):{body}", "<jet kernel>", "exec"), namespace)
+        return namespace["kernel"]
 
 
-def ln(j: Jet2) -> Jet2:
-    if j.v <= 0.0:
-        raise EvaluationDomainError(f"ln of non-positive value {j.v!r}")
-    inv = 1.0 / j.v
-    return j.chain(math.log(j.v), inv, -(inv * inv))
+def add(t: Tape, a: Src, b: Src) -> Src:
+    return t.jet(*(f"{p} + {q}" for p, q in zip(a, b)))
 
 
-def sin(j: Jet2) -> Jet2:
-    s = math.sin(j.v)
-    return j.chain(s, math.cos(j.v), -s)
+def sub(t: Tape, a: Src, b: Src) -> Src:
+    return t.jet(*(f"{p} - {q}" for p, q in zip(a, b)))
 
 
-def cos(j: Jet2) -> Jet2:
-    c = math.cos(j.v)
-    return j.chain(c, -math.sin(j.v), -c)
+def neg(t: Tape, a: Src) -> Src:
+    return t.jet(*(f"-{p}" for p in a))
 
 
-def sqrt(j: Jet2) -> Jet2:
-    if j.v <= 0.0:
-        raise EvaluationDomainError(f"sqrt of non-positive value {j.v!r}")
-    r = math.sqrt(j.v)
-    return j.chain(r, 0.5 / r, -0.25 / (r * j.v))
+def mul(t: Tape, a: Src, b: Src) -> Src:
+    # Each component is a sum of products that maps onto itself under
+    # operand swap, which is what makes the product commute exactly.
+    (av, ax, ay, axx, axy, ayy), (bv, bx, by, bxx, bxy, byy) = a, b
+    return t.jet(
+        f"{av} * {bv}",
+        f"{ax} * {bv} + {av} * {bx}",
+        f"{ay} * {bv} + {av} * {by}",
+        f"({axx} * {bv} + {av} * {bxx}) + 2.0 * ({ax} * {bx})",
+        f"({axy} * {bv} + {av} * {bxy}) + ({ax} * {by} + {ay} * {bx})",
+        f"({ayy} * {bv} + {av} * {byy}) + 2.0 * ({ay} * {by})",
+    )
 
 
-def pow_int(j: Jet2, n: int) -> Jet2:
+def div(t: Tape, a: Src, b: Src) -> Src:
+    (av, ax, ay, axx, axy, ayy), (bv, bx, by, bxx, bxy, byy) = a, b
+    t.check(f"{bv} == 0.0", "DivisionByZeroError", "division by a quantity with zero value")
+    q = t.let(f"{av} / {bv}")
+    qx = t.let(f"({ax} - {q} * {bx}) / {bv}")
+    qy = t.let(f"({ay} - {q} * {by}) / {bv}")
+    return (q, qx, qy) + t.jet(
+        f"({axx} - 2.0 * {qx} * {bx} - {q} * {bxx}) / {bv}",
+        f"({axy} - {qx} * {by} - {qy} * {bx} - {q} * {bxy}) / {bv}",
+        f"({ayy} - 2.0 * {qy} * {by} - {q} * {byy}) / {bv}",
+    )
+
+
+def chain(t: Tape, j: Src, f0: str, f1: str, f2: str) -> Src:
+    """Compose with a scalar map given its value and two derivatives, as
+    atoms, taken at the value of j."""
+    _, dx, dy, dxx, dxy, dyy = j
+    return t.jet(
+        f0,
+        f"{f1} * {dx}",
+        f"{f1} * {dy}",
+        f"{f1} * {dxx} + {f2} * ({dx} * {dx})",
+        f"{f1} * {dxy} + {f2} * ({dx} * {dy})",
+        f"{f1} * {dyy} + {f2} * ({dy} * {dy})",
+    )
+
+
+def exp(t: Tape, j: Src) -> Src:
+    v = j[0]
+    (e,) = t.trap("OverflowError", "NumericOverflowError", "exp overflow at argument", v,
+                  f"exp({v})")
+    return chain(t, j, e, e, e)
+
+
+def ln(t: Tape, j: Src) -> Src:
+    v = j[0]
+    t.check(f"{v} <= 0.0", "EvaluationDomainError", "ln of non-positive value", v)
+    inv = t.let(f"1.0 / {v}")
+    return chain(t, j, t.let(f"log({v})"), inv, t.let(f"-({inv} * {inv})"))
+
+
+# math.sin and math.cos refuse exactly the infinite arguments; a NaN goes on
+# to the finiteness check of the result.
+def sin(t: Tape, j: Src) -> Src:
+    v = j[0]
+    s, c = t.trap("ValueError", "NumericOverflowError", "sin of non-finite argument", v,
+                  f"sin({v})", f"cos({v})")
+    return chain(t, j, s, c, t.let(f"-{s}"))
+
+
+def cos(t: Tape, j: Src) -> Src:
+    v = j[0]
+    c, s = t.trap("ValueError", "NumericOverflowError", "cos of non-finite argument", v,
+                  f"cos({v})", f"sin({v})")
+    return chain(t, j, c, t.let(f"-{s}"), t.let(f"-{c}"))
+
+
+def sqrt(t: Tape, j: Src) -> Src:
+    v = j[0]
+    t.check(f"{v} <= 0.0", "EvaluationDomainError", "sqrt of non-positive value", v)
+    r = t.let(f"sqrt({v})")
+    # Zero only by underflow, where the second derivative would be infinite.
+    rv = t.let(f"{r} * {v}")
+    t.check(f"{rv} == 0.0",
+            "NumericOverflowError", "sqrt second derivative overflows at argument", v)
+    return chain(t, j, r, t.let(f"0.5 / {r}"), t.let(f"-0.25 / {rv}"))
+
+
+def pow_int(t: Tape, j: Src, n: int) -> Src:
     """Integer power by square-and-multiply. Stays within jet products, so
     polynomial jets remain exact; no positivity requirement on the base."""
     if n == 0:
-        return Jet2(1.0)
+        return ONE
     if n < 0:
-        if j.v == 0.0:
-            raise DivisionByZeroError("zero base raised to a negative power")
-        return Jet2(1.0) / pow_int(j, -n)
+        t.check(f"{j[0]} == 0.0", "DivisionByZeroError", "zero base raised to a negative power")
+        return div(t, ONE, pow_int(t, j, -n))
     acc = None
-    base = j
-    k = n
-    while k:
-        if k & 1:
-            acc = base if acc is None else acc * base
-        k >>= 1
-        if k:
-            base = base * base
+    while n:
+        if n & 1:
+            acc = j if acc is None else mul(t, acc, j)
+        n >>= 1
+        if n:
+            j = mul(t, j, j)
     return acc
 
 
-def pow_real(j: Jet2, r: float) -> Jet2:
+def pow_real(t: Tape, j: Src, r: float) -> Src:
     """Real power; requires a strictly positive base value."""
-    if j.v <= 0.0:
-        raise EvaluationDomainError(
-            f"non-integer power of non-positive base {j.v!r}"
-        )
-    try:
-        f0 = j.v**r
-        f1 = r * j.v ** (r - 1.0)
-        f2 = r * (r - 1.0) * j.v ** (r - 2.0)
-    except OverflowError:
-        raise NumericOverflowError(f"power overflow at base {j.v!r}") from None
-    return j.chain(f0, f1, f2)
+    v, c = j[0], t.jet(repr(r))[0]
+    t.check(f"{v} <= 0.0", "EvaluationDomainError", "non-integer power of non-positive base", v)
+    return chain(t, j, *t.trap(
+        "OverflowError", "NumericOverflowError", "power overflow at base", v,
+        f"{v} ** {c}", f"{c} * {v} ** ({c} - 1.0)", f"{c} * ({c} - 1.0) * {v} ** ({c} - 2.0)",
+    ))

@@ -29,6 +29,7 @@ from .errors import (
     InvalidSpecError,
     SingularPointError,
     StepTooLargeError,
+    require_finite,
 )
 
 # Abort when a right-hand-side denominator magnitude drops below this.
@@ -85,6 +86,7 @@ class IVP:
     step: float
 
     def __post_init__(self):
+        require_finite(self, "t0", "y0", "yp0", "t_end", "step")
         if self.step <= 0.0:
             raise ValueError("step must be positive")
         if self.t_end <= self.t0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import require_finite
 from .expr import Expr, eval_value
 from .jet import Jet2
 
@@ -23,6 +24,7 @@ class FDConfig:
     h_second: float = 1e-3
 
     def __post_init__(self):
+        require_finite(self, "h_first", "h_second")
         for h in (self.h_first, self.h_second):
             if not 1e-6 <= h <= 1e-2:
                 raise ValueError("stencil step must lie in [1e-6, 1e-2]")

@@ -21,7 +21,7 @@ from typing import Callable
 
 from .curvature import CurvaturePair, curvatures
 from .domain import GridDomain
-from .errors import DegenerateWeingartenError, EmptyDomainError
+from .errors import DegenerateWeingartenError, EmptyDomainError, require_finite
 from .expr import Expr, eval_jet
 from .jet import Jet2
 
@@ -35,6 +35,7 @@ class LWParams:
     c: float
 
     def __post_init__(self):
+        require_finite(self, "a", "b", "c")
         if self.a == 0.0 and self.b == 0.0 and self.c == 0.0:
             raise ValueError("coefficients must not all be zero")
 

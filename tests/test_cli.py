@@ -88,7 +88,7 @@ def test_eval_singularity_is_an_error(capsys):
     [
         # The jet is finite, but K = -(1e200)^2 overflows.
         "eval --surface 1e200*x*y --at 1,1",
-        # A NaN coefficient makes every residual NaN.
+        # A NaN coefficient is refused when the relation is built.
         "scan --surface x^2+y^2 --residual lw --a nan --b 1 --c 0 --grid 5,5",
         # ZeroDivisionError in the central differences.
         "scan --surface x^2+y^2 --residual jacobian --fd-step 0 --grid 5,5",
@@ -102,6 +102,21 @@ def test_non_finite_or_arithmetic_failure_is_refused(capsys, argv):
     assert report is None
     assert err.startswith("error:")
     assert err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("eval --surface sin(x*x) --at 1e160,0", "sin of non-finite argument inf"),
+        ("scan --surface x^2+y^2 --residual euler --grid 5,5 --exclusion nan",
+         "exclusion_radius must be finite"),
+        ("scan --surface x^2+y^2 --residual euler --grid 5,5 --domain=-inf,1,-1,1",
+         "x_min must be finite"),
+    ],
+)
+def test_non_finite_input_is_named(capsys, argv, message):
+    code, report, err = run_cli(capsys, *argv.split())
+    assert (code, report, err) == (2, None, f"error: {message}\n")
 
 
 def test_eval_is_byte_stable(capsys):

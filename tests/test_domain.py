@@ -2,7 +2,11 @@ import pytest
 
 from isocurv import (
     DEFAULT_EXCLUSION_RADIUS,
+    IVP,
+    FDConfig,
     GridDomain,
+    LWParams,
+    SaturatedLinearODE,
     VerticalLine,
 )
 
@@ -27,6 +31,18 @@ def test_validation():
         GridDomain(ny=0)
     with pytest.raises(ValueError):
         GridDomain(exclusion_radius=-0.5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_fields_are_named(bad):
+    ivp = dict(rhs=SaturatedLinearODE(c5=1.0, d10=0.0), t0=0.0, y0=1.0, yp0=0.0, t_end=1.0, step=0.1)
+    cases = [(GridDomain, {}, name) for name in ("x_min", "x_max", "y_min", "y_max", "exclusion_radius")]
+    cases += [(LWParams, dict(a=1.0, b=1.0, c=1.0), name) for name in ("a", "b", "c")]
+    cases += [(IVP, ivp, name) for name in ("t0", "y0", "yp0", "t_end", "step")]
+    cases += [(FDConfig, {}, name) for name in ("h_first", "h_second")]
+    for cls, fields, name in cases:
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            cls(**{**fields, name: bad})
 
 
 def test_axes_are_inclusive_and_uniform():

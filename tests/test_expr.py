@@ -9,6 +9,7 @@ from conftest import SEED, random_expr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isocurv.expr as expr_module
 from isocurv import (
     Add,
     Const,
@@ -306,6 +307,17 @@ def test_eval_jet_non_finite_rejected():
         eval_jet(parse("exp(x)"), (1000.0, 0.0))
 
 
+def test_kernel_cache_is_bounded_and_keyed_by_identity():
+    e = parse("x*y")
+    assert expr_module._kernel(e) is expr_module._kernel(e)
+    # An equal tree is another object: it gets its own kernel, with no
+    # hashing of the tree.
+    assert expr_module._kernel(parse("x*y")) is not expr_module._kernel(e)
+    for i in range(40):
+        eval_jet(parse(f"x*{i}+y"), (1.0, 2.0))
+    assert len(expr_module._KERNELS) <= 16
+
+
 def test_variables_collector():
     assert variables(parse("x*y+1")) == frozenset({"x", "y"})
     assert variables(parse("sin(x)^2")) == frozenset({"x"})
@@ -367,9 +379,7 @@ def _y_slice(e, t):
 def _bits_or_error(fn, e, t):
     try:
         return tuple(c.hex() for c in fn(e, t))
-    except (IsocurvError, ValueError) as exc:
-        # math.sin/math.cos raise a bare ValueError on an infinite
-        # argument; it must still agree between the two paths.
+    except IsocurvError as exc:
         return type(exc)
 
 
