@@ -69,7 +69,7 @@ from .families import (
     spec_to_dict,
     verify_family,
 )
-from .jet import Jet1, Jet2, seed_x, seed_y
+from .jet import Jet1, Jet2
 from .mesh import MeshStats, build_mesh, write_obj
 from .ode import (
     IVP,
@@ -98,45 +98,20 @@ from .weingarten import (
 
 __version__ = "0.1.0"
 
+# The names the README documents, and the base class of the package's errors.
 __all__ = [
     "CurvaturePair",
     "curvatures",
     "factorable_curvatures",
-    "DEFAULT_EXCLUSION_RADIUS",
     "GridDomain",
-    "VerticalLine",
     "DegenerateODEError",
-    "DegenerateWeingartenError",
-    "DivisionByZeroError",
-    "EmptyDomainError",
-    "EvaluationDomainError",
-    "InvalidSpecError",
     "IsocurvError",
-    "MixedVariableError",
     "NoConstantPredictionError",
-    "NumericOverflowError",
     "ParseError",
-    "SingularPointError",
     "StepTooLargeError",
-    "UnknownIdentifierError",
-    "Add",
-    "Const",
-    "Cos",
-    "Div",
-    "Exp",
-    "Expr",
-    "Ln",
-    "Mul",
-    "Neg",
-    "Pow",
-    "Sin",
-    "Sqrt",
-    "Sub",
-    "Var",
     "eval_jet",
     "eval_value",
     "lift_1d",
-    "num",
     "parse",
     "to_string",
     "variables",
@@ -144,23 +119,16 @@ __all__ = [
     "CaseA",
     "CaseB",
     "CaseC",
-    "FamilyPrediction",
-    "FamilySpec",
     "NonIsotropicPlane",
     "ParabolicSphere",
     "build",
     "case31_contradiction_scan",
-    "case31_residual",
     "predict",
-    "singular_loci",
     "spec_from_dict",
     "spec_to_dict",
     "verify_family",
     "Jet1",
     "Jet2",
-    "seed_x",
-    "seed_y",
-    "MeshStats",
     "build_mesh",
     "write_obj",
     "IVP",
@@ -170,21 +138,11 @@ __all__ = [
     "linear_force_solution",
     "shifted_reciprocal_residual",
     "shifted_reciprocal_solution",
-    "FDConfig",
-    "JetComparison",
     "compare",
     "fd_jet",
     "LWParams",
-    "NormalizedLW",
-    "ResidualReport",
     "euler_residual",
-    "euler_residual_fn",
-    "jacobian_residual_fn",
     "lw_residual",
-    "lw_residual_fn",
     "normalize",
-    "scan_grid",
-    "summarize",
     "weingarten_jacobian",
-    "__version__",
 ]

@@ -60,47 +60,33 @@ class _UsageError(IsocurvError):
     """Bad flag combination; reported like other errors, exit 2."""
 
 
-def _two_floats(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected X,Y")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number in {text!r}") from None
+def _numbers(kind: type, metavar: str) -> Callable[[str], tuple]:
+    """Argparse type for the comma-separated numbers that metavar names."""
 
+    def convert(text: str) -> tuple:
+        parts = text.split(",")
+        if len(parts) != len(metavar.split(",")):
+            raise argparse.ArgumentTypeError(f"expected {metavar}")
+        try:
+            return tuple(kind(v) for v in parts)
+        except ValueError:
+            what = "integer" if kind is int else "number"
+            raise argparse.ArgumentTypeError(f"bad {what} in {text!r}") from None
 
-def _four_floats(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected XMIN,XMAX,YMIN,YMAX")
-    try:
-        return tuple(float(v) for v in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number in {text!r}") from None
-
-
-def _two_ints(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected NX,NY")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer in {text!r}") from None
+    return convert
 
 
 def _add_domain_flags(sp: argparse.ArgumentParser, default_exclusion: float) -> None:
     sp.add_argument(
         "--domain",
-        type=_four_floats,
+        type=_numbers(float, "XMIN,XMAX,YMIN,YMAX"),
         default=(-1.0, 1.0, -1.0, 1.0),
         metavar="XMIN,XMAX,YMIN,YMAX",
         help="sampling rectangle (default [-1,1]^2)",
     )
     sp.add_argument(
         "--grid",
-        type=_two_ints,
+        type=_numbers(int, "NX,NY"),
         default=(101, 101),
         metavar="NX,NY",
         help="grid resolution (default 101,101)",
@@ -124,7 +110,7 @@ def build_argparser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="jet, K, H at a point")
     sp.add_argument("--surface", required=True, help="expression in x and y")
-    sp.add_argument("--at", type=_two_floats, required=True, metavar="X,Y")
+    sp.add_argument("--at", type=_numbers(float, "X,Y"), required=True, metavar="X,Y")
 
     sp = sub.add_parser("scan", help="residual statistics over a grid")
     sp.add_argument("--surface", required=True)

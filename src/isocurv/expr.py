@@ -471,18 +471,16 @@ def compile_jet(e: Expr):
     return t.function(_emit(t, e, *seeds))
 
 
-# id(tree) -> (tree, kernel) for the trees evaluated last; holding the tree
-# keeps its id from being reused while the entry lives.
-_KERNELS: dict[int, tuple] = {}
+# The tree evaluated last and its kernel: every caller evaluates one tree
+# at many points in a row.
+_last: tuple = (None, None)
 
 
 def _kernel(e: Expr):
-    hit = _KERNELS.get(id(e))
-    if hit is None:
-        if len(_KERNELS) >= 16:
-            _KERNELS.clear()
-        hit = _KERNELS[id(e)] = (e, compile_jet(e))
-    return hit[1]
+    global _last
+    if _last[0] is not e:
+        _last = (e, compile_jet(e))
+    return _last[1]
 
 
 def eval_jet(e: Expr, p: tuple[float, float]) -> Jet2:

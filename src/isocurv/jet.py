@@ -15,7 +15,6 @@ commutative; only re-association changes rounding).
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 from . import errors
@@ -43,20 +42,14 @@ class Jet1:
     dd: float = 0.0
 
 
-# The source of a jet: six atoms (names or unsigned literals) in Jet2's
-# field order, spliced into formulas as they are.
+# The source of a jet: six atoms (local names or literals) in Jet2's field
+# order, spliced into formulas as they are.
 Src = tuple[str, str, str, str, str, str]
 ONE: Src = ("1.0", "0.0", "0.0", "0.0", "0.0", "0.0")
-_ATOM = re.compile(r"[A-Za-z_]\w*|\d+\.\d+")
 
 # Emitted statements call math's functions and raise the package's errors.
 _NAMESPACE = {k: v for k, v in vars(math).items() if not k.startswith("_")}
 _NAMESPACE.update(Jet2=Jet2, errors=errors)
-
-
-def _error(cls: str, text: str, value: str) -> str:
-    """Source of cls(text), with the repr of the atom value appended if given."""
-    return f'errors.{cls}(f"{text} {{{value}!r}}")' if value else f'errors.{cls}("{text}")'
 
 
 class Tape:
@@ -71,24 +64,27 @@ class Tape:
         return name
 
     def jet(self, *components: str) -> Src:
-        """Bind each component that is not already an atom to a new local."""
-        return tuple(c if _ATOM.fullmatch(c) else self.let(c) for c in components)
+        """Bind each component that is not a name, 0.0 or 1.0 to a new local."""
+        return tuple(c if c.isidentifier() or c in ONE else self.let(c) for c in components)
 
-    def check(self, condition: str, cls: str, text: str, value: str = "") -> None:
-        self.lines.append(f"if {condition}:\n    raise {_error(cls, text, value)}")
+    def guard(self, head: str, cls: str, text: str, value: str = "") -> None:
+        """Append head, an if or a try/except header, with a raise of
+        cls(text) under it; the repr of the atom value ends text if given."""
+        message = f'f"{text} {{{value}!r}}"' if value else f'"{text}"'
+        self.lines.append(f"{head}:\n    raise errors.{cls}({message}) from None")
 
-    def trap(self, caught: str, cls: str, text: str, value: str, *sources: str) -> list[str]:
-        """Let each source in turn, raising cls in place of caught."""
+    def trap(self, text: str, value: str, *sources: str) -> list[str]:
+        """Let each source in turn, raising NumericOverflowError(text value)
+        in place of an OverflowError."""
         names = [f"t{len(self.lines)}_{i}" for i in range(len(sources))]
-        body = "".join(f"\n    {n} = {s}" for n, s in zip(names, sources))
-        error = _error(cls, text, value)
-        self.lines.append(f"try:{body}\nexcept {caught}:\n    raise {error} from None")
+        lets = "".join(f"\n    {n} = {s}" for n, s in zip(names, sources))
+        self.guard(f"try:{lets}\nexcept OverflowError", "NumericOverflowError", text, value)
         return names
 
     def function(self, result: Src):
         """Compile into kernel(x, y) -> Jet2, refusing a non-finite result."""
-        self.check(" or ".join(f"not isfinite({c})" for c in result),
-                   "NumericOverflowError", "jet evaluation produced a non-finite value")
+        finite = " or ".join(f"not isfinite({c})" for c in result)
+        self.guard(f"if {finite}", "NumericOverflowError", "jet evaluation produced a non-finite value")
         self.lines.append(f"return Jet2({', '.join(result)})")
         body = "".join(f"\n    {line}" for entry in self.lines for line in entry.split("\n"))
         namespace = dict(_NAMESPACE)
@@ -124,7 +120,7 @@ def mul(t: Tape, a: Src, b: Src) -> Src:
 
 def div(t: Tape, a: Src, b: Src) -> Src:
     (av, ax, ay, axx, axy, ayy), (bv, bx, by, bxx, bxy, byy) = a, b
-    t.check(f"{bv} == 0.0", "DivisionByZeroError", "division by a quantity with zero value")
+    t.guard(f"if {bv} == 0.0", "DivisionByZeroError", "division by a quantity with zero value")
     q = t.let(f"{av} / {bv}")
     qx = t.let(f"({ax} - {q} * {bx}) / {bv}")
     qy = t.let(f"({ay} - {q} * {by}) / {bv}")
@@ -151,14 +147,13 @@ def chain(t: Tape, j: Src, f0: str, f1: str, f2: str) -> Src:
 
 def exp(t: Tape, j: Src) -> Src:
     v = j[0]
-    (e,) = t.trap("OverflowError", "NumericOverflowError", "exp overflow at argument", v,
-                  f"exp({v})")
+    (e,) = t.trap("exp overflow at argument", v, f"exp({v})")
     return chain(t, j, e, e, e)
 
 
 def ln(t: Tape, j: Src) -> Src:
     v = j[0]
-    t.check(f"{v} <= 0.0", "EvaluationDomainError", "ln of non-positive value", v)
+    t.guard(f"if {v} <= 0.0", "EvaluationDomainError", "ln of non-positive value", v)
     inv = t.let(f"1.0 / {v}")
     return chain(t, j, t.let(f"log({v})"), inv, t.let(f"-({inv} * {inv})"))
 
@@ -167,26 +162,25 @@ def ln(t: Tape, j: Src) -> Src:
 # to the finiteness check of the result.
 def sin(t: Tape, j: Src) -> Src:
     v = j[0]
-    s, c = t.trap("ValueError", "NumericOverflowError", "sin of non-finite argument", v,
-                  f"sin({v})", f"cos({v})")
-    return chain(t, j, s, c, t.let(f"-{s}"))
+    t.guard(f"if isinf({v})", "NumericOverflowError", "sin of non-finite argument", v)
+    s = t.let(f"sin({v})")
+    return chain(t, j, s, t.let(f"cos({v})"), t.let(f"-{s}"))
 
 
 def cos(t: Tape, j: Src) -> Src:
     v = j[0]
-    c, s = t.trap("ValueError", "NumericOverflowError", "cos of non-finite argument", v,
-                  f"cos({v})", f"sin({v})")
-    return chain(t, j, c, t.let(f"-{s}"), t.let(f"-{c}"))
+    t.guard(f"if isinf({v})", "NumericOverflowError", "cos of non-finite argument", v)
+    c = t.let(f"cos({v})")
+    return chain(t, j, c, t.let(f"-sin({v})"), t.let(f"-{c}"))
 
 
 def sqrt(t: Tape, j: Src) -> Src:
     v = j[0]
-    t.check(f"{v} <= 0.0", "EvaluationDomainError", "sqrt of non-positive value", v)
+    t.guard(f"if {v} <= 0.0", "EvaluationDomainError", "sqrt of non-positive value", v)
     r = t.let(f"sqrt({v})")
     # Zero only by underflow, where the second derivative would be infinite.
     rv = t.let(f"{r} * {v}")
-    t.check(f"{rv} == 0.0",
-            "NumericOverflowError", "sqrt second derivative overflows at argument", v)
+    t.guard(f"if {rv} == 0.0", "NumericOverflowError", "sqrt second derivative overflows at argument", v)
     return chain(t, j, r, t.let(f"0.5 / {r}"), t.let(f"-0.25 / {rv}"))
 
 
@@ -196,7 +190,7 @@ def pow_int(t: Tape, j: Src, n: int) -> Src:
     if n == 0:
         return ONE
     if n < 0:
-        t.check(f"{j[0]} == 0.0", "DivisionByZeroError", "zero base raised to a negative power")
+        t.guard(f"if {j[0]} == 0.0", "DivisionByZeroError", "zero base raised to a negative power")
         return div(t, ONE, pow_int(t, j, -n))
     acc = None
     while n:
@@ -210,9 +204,8 @@ def pow_int(t: Tape, j: Src, n: int) -> Src:
 
 def pow_real(t: Tape, j: Src, r: float) -> Src:
     """Real power; requires a strictly positive base value."""
-    v, c = j[0], t.jet(repr(r))[0]
-    t.check(f"{v} <= 0.0", "EvaluationDomainError", "non-integer power of non-positive base", v)
+    v, c = j[0], t.let(repr(r))
+    t.guard(f"if {v} <= 0.0", "EvaluationDomainError", "non-integer power of non-positive base", v)
     return chain(t, j, *t.trap(
-        "OverflowError", "NumericOverflowError", "power overflow at base", v,
-        f"{v} ** {c}", f"{c} * {v} ** ({c} - 1.0)", f"{c} * ({c} - 1.0) * {v} ** ({c} - 2.0)",
+        "power overflow at base", v, f"{v} ** {c}", f"{c} * {v} ** ({c} - 1.0)", f"{c} * ({c} - 1.0) * {v} ** ({c} - 2.0)",
     ))

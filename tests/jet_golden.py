@@ -19,8 +19,10 @@ Run `PYTHONPATH=src python tests/jet_golden.py` to rewrite
 tests/data/jet_golden.json from the current evaluators. The checked-in file
 was written on x86-64 Linux (glibc 2.36 libm) from the tree-walking evaluator
 that the compiled kernels replaced; rewrite it only for a deliberate change
-of results. A libm whose exp, log, sin or cos round differently changes the
-digests too.
+of results. The digests hold the roundings of that libm's exp, log, sin,
+cos and pow, so the fixture also keeps libm_digest(), a digest of those
+functions on fixed arguments: a host whose libm rounds differently fails
+on that first, not as a list of changed blocks.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import random
 
@@ -94,6 +97,27 @@ def cases():
             yield "lift_1d", e, a
 
 
+def libm_digest() -> str:
+    """SHA-256 of math.exp, log, sin, cos and float ** on 5,000 seeded
+    arguments of the magnitudes the cases reach."""
+    rng = random.Random(SEED + 4)
+    h = hashlib.sha256()
+    for _ in range(5000):
+        a = _coordinate(rng)
+        b = abs(a) or 1.0
+        calls = (
+            (math.exp, a), (math.exp, rng.uniform(-750.0, 750.0)), (math.log, b),
+            (math.sin, a), (math.cos, a), (pow, b, rng.choice((0.5, 1.5, 2.5, -0.5, -1.5, -2.5))),
+        )
+        for fn, *args in calls:
+            try:
+                text = fn(*args).hex()
+            except (OverflowError, ValueError) as exc:
+                text = type(exc).__name__
+            h.update(text.encode() + b"\n")
+    return h.hexdigest()
+
+
 def outcome(kind: str, e, p) -> str:
     try:
         if kind == "eval_jet":
@@ -138,6 +162,7 @@ if __name__ == "__main__":
     blocks, n, errors = digests()
     os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
     with open(FIXTURE, "w", encoding="utf-8") as fh:
-        json.dump({"block": BLOCK, "cases": n, "errors": errors, "digests": blocks}, fh, indent=0)
+        doc = {"block": BLOCK, "cases": n, "errors": errors, "libm": libm_digest(), "digests": blocks}
+        json.dump(doc, fh, indent=0)
         fh.write("\n")
     print(f"{n} cases, {errors} errors, {len(blocks)} blocks -> {FIXTURE}")

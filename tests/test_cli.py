@@ -119,6 +119,24 @@ def test_non_finite_input_is_named(capsys, argv, message):
     assert (code, report, err) == (2, None, f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("eval --surface x --at 1", "argument --at: expected X,Y"),
+        ("eval --surface x --at 1,x", "argument --at: bad number in '1,x'"),
+        ("scan --surface x --residual euler --grid 2,x", "argument --grid: bad integer in '2,x'"),
+        ("scan --surface x --residual euler --grid 2,2,2", "argument --grid: expected NX,NY"),
+        ("scan --surface x --residual euler --domain 1,2,3",
+         "argument --domain: expected XMIN,XMAX,YMIN,YMAX"),
+    ],
+)
+def test_number_lists_are_checked(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv.split())
+    assert exc_info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 def test_eval_is_byte_stable(capsys):
     main(["eval", "--surface", "exp(x)*sin(y)", "--at", "0.3,0.7"])
     first = capsys.readouterr().out

@@ -312,10 +312,14 @@ def test_kernel_cache_is_bounded_and_keyed_by_identity():
     assert expr_module._kernel(e) is expr_module._kernel(e)
     # An equal tree is another object: it gets its own kernel, with no
     # hashing of the tree.
-    assert expr_module._kernel(parse("x*y")) is not expr_module._kernel(e)
+    other = parse("x*y")
+    assert expr_module._kernel(other) is not expr_module._kernel(e)
+    # One slot: the tree evaluated last, held so that its id stays its own.
     for i in range(40):
         eval_jet(parse(f"x*{i}+y"), (1.0, 2.0))
-    assert len(expr_module._KERNELS) <= 16
+    last = parse("x+y")
+    kernel = expr_module._kernel(last)
+    assert expr_module._last == (last, kernel)
 
 
 def test_variables_collector():
