@@ -478,9 +478,11 @@ _last: tuple = (None, None)
 
 def _kernel(e: Expr):
     global _last
-    if _last[0] is not e:
-        _last = (e, compile_jet(e))
-    return _last[1]
+    tree, kernel = _last  # one read, so a swap by another thread cannot mix trees
+    if tree is not e:
+        kernel = compile_jet(e)
+        _last = (e, kernel)
+    return kernel
 
 
 def eval_jet(e: Expr, p: tuple[float, float]) -> Jet2:
