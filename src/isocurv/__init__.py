@@ -8,141 +8,84 @@ and H, scans linear Weingarten relation residuals over grids, generates
 and verifies the classified constant-curvature families, integrates the
 factor ODEs behind them, and exports sampled surfaces as Wavefront OBJ
 meshes.
+
+The public names that _EXPORTS lists by submodule are importable from the
+package root, but a submodule is imported only when one of its names is
+first used (a PEP 562 module __getattr__), so ``import isocurv`` loads no
+submodule and a program pays only for the parts it uses.
 """
 
-from .curvature import CurvaturePair, curvatures, factorable_curvatures
-from .domain import DEFAULT_EXCLUSION_RADIUS, GridDomain, VerticalLine
-from .errors import (
-    DegenerateODEError,
-    DegenerateWeingartenError,
-    DivisionByZeroError,
-    EmptyDomainError,
-    EvaluationDomainError,
-    InvalidSpecError,
-    IsocurvError,
-    MixedVariableError,
-    NoConstantPredictionError,
-    NumericOverflowError,
-    ParseError,
-    SingularPointError,
-    StepTooLargeError,
-    UnknownIdentifierError,
-)
-from .expr import (
-    Add,
-    Const,
-    Cos,
-    Div,
-    Exp,
-    Expr,
-    Ln,
-    Mul,
-    Neg,
-    Pow,
-    Sin,
-    Sqrt,
-    Sub,
-    Var,
-    eval_jet,
-    eval_value,
-    lift_1d,
-    num,
-    parse,
-    to_string,
-    variables,
-)
-from .families import (
-    Case31Candidate,
-    CaseA,
-    CaseB,
-    CaseC,
-    FamilyPrediction,
-    FamilySpec,
-    NonIsotropicPlane,
-    ParabolicSphere,
-    build,
-    case31_contradiction_scan,
-    case31_residual,
-    predict,
-    singular_loci,
-    spec_from_dict,
-    spec_to_dict,
-    verify_family,
-)
-from .jet import Jet1, Jet2
-from .mesh import MeshStats, build_mesh, write_obj
-from .ode import (
-    IVP,
-    SaturatedLinearODE,
-    ShiftedReciprocalODE,
-    integrate,
-    linear_force_solution,
-    shifted_reciprocal_residual,
-    shifted_reciprocal_solution,
-)
-from .oracle import FDConfig, JetComparison, compare, fd_jet
-from .weingarten import (
-    LWParams,
-    NormalizedLW,
-    ResidualReport,
-    euler_residual,
-    euler_residual_fn,
-    jacobian_residual_fn,
-    lw_residual,
-    lw_residual_fn,
-    normalize,
-    scan_grid,
-    summarize,
-    weingarten_jacobian,
-)
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
+# Submodule -> the public names it holds.
+_EXPORTS = {
+    "curvature": ("CurvaturePair", "curvatures", "factorable_curvatures"),
+    "domain": ("DEFAULT_EXCLUSION_RADIUS", "GridDomain", "VerticalLine"),
+    "errors": (
+        "DegenerateODEError", "DegenerateWeingartenError", "DivisionByZeroError",
+        "EmptyDomainError", "EvaluationDomainError", "InvalidSpecError",
+        "IsocurvError", "MixedVariableError", "NoConstantPredictionError",
+        "NumericOverflowError", "ParseError", "SingularPointError",
+        "StepTooLargeError", "UnknownIdentifierError",
+    ),
+    "expr": (
+        "Add", "Const", "Cos", "Div", "Exp", "Expr", "Ln", "Mul", "Neg", "Pow",
+        "Sin", "Sqrt", "Sub", "Var", "eval_jet", "eval_value", "lift_1d", "num",
+        "parse", "to_string", "variables",
+    ),
+    "families": (
+        "Case31Candidate", "CaseA", "CaseB", "CaseC", "FamilyPrediction",
+        "FamilySpec", "NonIsotropicPlane", "ParabolicSphere", "build",
+        "case31_contradiction_scan", "case31_residual", "predict", "singular_loci",
+        "spec_from_dict", "spec_to_dict", "verify_family",
+    ),
+    "jet": ("Jet1", "Jet2"),
+    "mesh": ("MeshStats", "build_mesh", "write_obj"),
+    "ode": (
+        "IVP", "SaturatedLinearODE", "ShiftedReciprocalODE", "integrate",
+        "linear_force_solution", "shifted_reciprocal_residual",
+        "shifted_reciprocal_solution",
+    ),
+    "oracle": ("FDConfig", "JetComparison", "compare", "fd_jet"),
+    "weingarten": (
+        "LWParams", "NormalizedLW", "ResidualReport", "euler_residual",
+        "euler_residual_fn", "jacobian_residual_fn", "lw_residual", "lw_residual_fn",
+        "normalize", "scan_grid", "summarize", "weingarten_jacobian",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
 # The names the README documents, and the base class of the package's errors.
 __all__ = [
-    "CurvaturePair",
-    "curvatures",
-    "factorable_curvatures",
+    "CurvaturePair", "curvatures", "factorable_curvatures",
     "GridDomain",
-    "DegenerateODEError",
-    "IsocurvError",
-    "NoConstantPredictionError",
-    "ParseError",
+    "DegenerateODEError", "IsocurvError", "NoConstantPredictionError", "ParseError",
     "StepTooLargeError",
-    "eval_jet",
-    "eval_value",
-    "lift_1d",
-    "parse",
-    "to_string",
-    "variables",
-    "Case31Candidate",
-    "CaseA",
-    "CaseB",
-    "CaseC",
-    "NonIsotropicPlane",
-    "ParabolicSphere",
-    "build",
-    "case31_contradiction_scan",
-    "predict",
-    "spec_from_dict",
-    "spec_to_dict",
-    "verify_family",
-    "Jet1",
-    "Jet2",
-    "build_mesh",
-    "write_obj",
-    "IVP",
-    "SaturatedLinearODE",
-    "ShiftedReciprocalODE",
-    "integrate",
-    "linear_force_solution",
-    "shifted_reciprocal_residual",
+    "eval_jet", "eval_value", "lift_1d", "parse", "to_string", "variables",
+    "Case31Candidate", "CaseA", "CaseB", "CaseC", "NonIsotropicPlane",
+    "ParabolicSphere", "build", "case31_contradiction_scan", "predict",
+    "spec_from_dict", "spec_to_dict", "verify_family",
+    "Jet1", "Jet2",
+    "build_mesh", "write_obj",
+    "IVP", "SaturatedLinearODE", "ShiftedReciprocalODE", "integrate",
+    "linear_force_solution", "shifted_reciprocal_residual",
     "shifted_reciprocal_solution",
-    "compare",
-    "fd_jet",
-    "LWParams",
-    "euler_residual",
-    "lw_residual",
-    "normalize",
-    "weingarten_jacobian",
+    "compare", "fd_jet",
+    "LWParams", "euler_residual", "lw_residual", "normalize", "weingarten_jacobian",
 ]
+
+
+def __getattr__(name: str):
+    """Import the submodule holding name, and keep name in this module."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    submodule = _importlib.import_module(f"{__name__}.{module}")
+    value = globals()[name] = getattr(submodule, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOME.keys())

@@ -5,48 +5,35 @@ one JSON report to standard output; CSV trajectories and OBJ meshes go to
 files. Exit codes: 0 when no check failed, 1 when a tolerance-gated check
 failed, 2 on any error (bad input, parse error, singularity, arithmetic
 overflow, I/O, or a report holding a non-finite number).
+
+Each subcommand imports what it calls when it runs, so a process pays
+start-up only for the modules it uses: eval and scan never load the
+families, ODE, mesh or oracle modules, and ode loads neither the parser
+nor the jets.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from typing import Callable, Optional
 
-from .curvature import curvatures
+from . import __getattr__ as _package_name
 from .domain import DEFAULT_EXCLUSION_RADIUS, GridDomain, VerticalLine
 from .errors import IsocurvError
-from .expr import Expr, eval_jet, parse, to_string
-from .families import (
-    Case31Candidate,
-    build,
-    case31_contradiction_scan,
-    predict,
-    singular_loci,
-    spec_from_dict,
-    spec_to_dict,
-)
-from .families import verify_family as _verify_family
-from .mesh import write_obj
-from .ode import (
-    IVP,
-    SaturatedLinearODE,
-    ShiftedReciprocalODE,
-    integrate,
-    linear_force_solution,
-    shifted_reciprocal_solution,
-)
-from .weingarten import (
-    LWParams,
-    euler_residual,
-    euler_residual_fn,
-    jacobian_residual_fn,
-    lw_residual_fn,
-    normalize,
-    scan_grid,
-)
+
+
+def __getattr__(name: str):
+    """Bind a public name of the package here on first use (PEP 562).
+
+    The subcommands import what they call from this module, so a name's
+    submodule loads only when a subcommand needs it, and the name stays an
+    attribute of isocurv.cli that a caller can wrap (bench/tracing.py does).
+    """
+    value = globals()[name] = _package_name(name)
+    return value
+
 
 SCHEMA_VERSION = 1
 
@@ -215,6 +202,8 @@ def _domain_params(domain: GridDomain) -> dict:
 
 
 def cmd_eval(args) -> dict:
+    from .cli import curvatures, euler_residual, eval_jet, parse, to_string
+
     surface = parse(args.surface)
     x, y = args.at
     j = eval_jet(surface, (x, y))
@@ -236,6 +225,17 @@ def cmd_eval(args) -> dict:
 
 
 def cmd_scan(args) -> dict:
+    from .cli import (
+        LWParams,
+        euler_residual_fn,
+        jacobian_residual_fn,
+        lw_residual_fn,
+        normalize,
+        parse,
+        scan_grid,
+        to_string,
+    )
+
     surface = parse(args.surface)
     domain = _domain_from_args(args)
     tol = args.tol if args.tol is not None else DEFAULT_SCAN_TOL[args.residual]
@@ -269,12 +269,25 @@ def cmd_scan(args) -> dict:
 
 
 def _load_spec(path: str):
+    from .cli import spec_from_dict
+
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return spec_from_dict(data)
 
 
 def cmd_verify_family(args) -> dict:
+    from .cli import (
+        Case31Candidate,
+        build,
+        case31_contradiction_scan,
+        predict,
+        singular_loci,
+        spec_to_dict,
+        to_string,
+        verify_family,
+    )
+
     spec = _load_spec(args.spec)
     surface = build(spec)
     domain = _domain_from_args(args, singular_loci(spec))
@@ -296,7 +309,7 @@ def cmd_verify_family(args) -> dict:
             {"min_samples": 3},
         )
     prediction = predict(spec)
-    report = _verify_family(spec, domain)
+    report = verify_family(spec, domain)
     passed = report.max_abs <= args.tol
     result = report.to_dict()
     result["check"] = "constant_invariants"
@@ -312,6 +325,15 @@ def cmd_verify_family(args) -> dict:
 
 
 def cmd_ode(args) -> dict:
+    from .cli import (
+        IVP,
+        SaturatedLinearODE,
+        ShiftedReciprocalODE,
+        integrate,
+        linear_force_solution,
+        shifted_reciprocal_solution,
+    )
+
     oracle: Optional[Callable[[float], float]] = None
     if args.ode == "shifted-reciprocal":
         if args.c3 is None or args.m0 is None:
@@ -345,6 +367,8 @@ def cmd_ode(args) -> dict:
         max_dev = max(abs(f - oracle(t)) for t, f, _ in trajectory)
         passed = max_dev <= args.tol
     if args.out:
+        import csv
+
         with open(args.out, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "f", "fp"])
@@ -375,9 +399,13 @@ def cmd_ode(args) -> dict:
 
 
 def cmd_mesh(args) -> dict:
+    from .cli import parse, to_string, write_obj
+
     loci: tuple[VerticalLine, ...] = ()
     params: dict = {}
     if args.spec is not None:
+        from .cli import build, singular_loci, spec_to_dict
+
         spec = _load_spec(args.spec)
         surface = build(spec)
         loci = singular_loci(spec)

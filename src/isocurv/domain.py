@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 from .errors import require_finite
 
 DEFAULT_EXCLUSION_RADIUS = 1e-2
+# Bounds the work and memory of one grid: scans and meshes visit every node.
+_MAX_NODES = 10_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,6 +43,8 @@ class GridDomain:
             raise ValueError("y_min must be below y_max")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
+        if self.nx * self.ny > _MAX_NODES:
+            raise ValueError(f"grid exceeds the cap of {_MAX_NODES} nodes")
         if self.exclusion_radius < 0.0:
             raise ValueError("exclusion_radius must be non-negative")
 

@@ -36,6 +36,8 @@ from .errors import (
 DENOMINATOR_FLOOR = 1e-8
 # Abort when the full-step vs two-half-steps discrepancy exceeds this.
 LOCAL_ERROR_LIMIT = 1e-3
+# Bounds the work and memory of one trajectory (one row per step).
+_MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,6 +95,9 @@ class IVP:
             raise ValueError("t_end must exceed t0")
         if self.step > self.t_end - self.t0:
             raise ValueError("step exceeds the integration span")
+        # Also refuses a ratio that overflowed to infinity.
+        if (self.t_end - self.t0) / self.step > _MAX_STEPS:
+            raise ValueError(f"span / step exceeds the cap of {_MAX_STEPS} steps")
 
 
 def _accel(rhs: OdeKind, t: float, f: float, fp: float) -> float:

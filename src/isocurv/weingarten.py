@@ -21,7 +21,13 @@ from typing import Callable
 
 from .curvature import CurvaturePair, curvatures
 from .domain import GridDomain
-from .errors import DegenerateWeingartenError, EmptyDomainError, require_finite
+from .errors import (
+    DegenerateWeingartenError,
+    EmptyDomainError,
+    IsocurvError,
+    NumericOverflowError,
+    require_finite,
+)
 from .expr import Expr, eval_jet
 from .jet import Jet2
 
@@ -81,29 +87,30 @@ def weingarten_jacobian(
     return kx * hy - ky * hx
 
 
-# A residual function maps (surface, x, y) to one signed value.
+# A residual function maps (surface, x, y) to one signed value; scan_grid
+# names it by its __name__ when a node fails.
 ResidualFn = Callable[[Expr, float, float], float]
 
 
 def lw_residual_fn(params: LWParams) -> ResidualFn:
-    def fn(surface: Expr, x: float, y: float) -> float:
+    def lw(surface: Expr, x: float, y: float) -> float:
         return lw_residual(curvatures(eval_jet(surface, (x, y))), params)
 
-    return fn
+    return lw
 
 
 def euler_residual_fn() -> ResidualFn:
-    def fn(surface: Expr, x: float, y: float) -> float:
+    def euler(surface: Expr, x: float, y: float) -> float:
         return euler_residual(eval_jet(surface, (x, y)))
 
-    return fn
+    return euler
 
 
 def jacobian_residual_fn(h: float = 1e-3) -> ResidualFn:
-    def fn(surface: Expr, x: float, y: float) -> float:
+    def jacobian(surface: Expr, x: float, y: float) -> float:
         return weingarten_jacobian(surface, (x, y), h)
 
-    return fn
+    return jacobian
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,7 +133,8 @@ class ResidualReport:
 
 def summarize(values: list[float], points: list[tuple[float, float]]) -> ResidualReport:
     """Statistics of raw residual values; std_dev is the population deviation
-    of the signed values, worst_point the first location of max |r|."""
+    of the signed values, worst_point the first location of max |r|.
+    A NaN or infinite value raises NumericOverflowError naming its point."""
     if not values:
         raise EmptyDomainError("no samples survived exclusion")
     n = len(values)
@@ -138,6 +146,11 @@ def summarize(values: list[float], points: list[tuple[float, float]]) -> Residua
         if abs(r) > max_abs:
             max_abs = abs(r)
             worst = pt
+    # A NaN or infinity makes the sum non-finite, so one test covers them all.
+    if not math.isfinite(sum_abs):
+        for r, pt in zip(values, points):
+            if not math.isfinite(r):
+                raise NumericOverflowError(f"non-finite residual {r!r} at (x, y) = {pt!r}")
     # Two correctly rounded passes over the values shifted by the first
     # one: a constant input gives exactly zero, not a rounding residue.
     shift = values[0]
@@ -153,14 +166,21 @@ def summarize(values: list[float], points: list[tuple[float, float]]) -> Residua
 
 
 def scan_grid(surface: Expr, domain: GridDomain, residual: ResidualFn) -> ResidualReport:
-    """Evaluate a residual on every included grid node, row by row in y."""
+    """Evaluate a residual on every included grid node, row by row in y.
+    An error at a node is re-raised with the node and the residual named."""
     values: list[float] = []
     points: list[tuple[float, float]] = []
     xs = domain.xs()
-    for y in domain.ys():
-        for x in xs:
-            if not domain.included(x, y):
-                continue
-            values.append(residual(surface, x, y))
-            points.append((x, y))
+    try:
+        for y in domain.ys():
+            for x in xs:
+                if not domain.included(x, y):
+                    continue
+                values.append(residual(surface, x, y))
+                points.append((x, y))
+    except (IsocurvError, ArithmeticError) as err:
+        kind = getattr(residual, "__name__", type(residual).__name__)
+        where = f"at (x, y) = ({x!r}, {y!r}) in the {kind} residual"
+        err.args = (f"{err} {where}",)
+        raise
     return summarize(values, points)

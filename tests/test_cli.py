@@ -92,7 +92,7 @@ def test_eval_singularity_is_an_error(capsys):
         "scan --surface x^2+y^2 --residual lw --a nan --b 1 --c 0 --grid 5,5",
         # ZeroDivisionError in the central differences.
         "scan --surface x^2+y^2 --residual jacobian --fd-step 0 --grid 5,5",
-        # OverflowError from rounding an infinite step count.
+        # An infinite span / step ratio is above the step cap.
         "ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1e300 --step 1e-300",
     ],
 )
@@ -112,6 +112,10 @@ def test_non_finite_or_arithmetic_failure_is_refused(capsys, argv):
          "exclusion_radius must be finite"),
         ("scan --surface x^2+y^2 --residual euler --grid 5,5 --domain=-inf,1,-1,1",
          "x_min must be finite"),
+        ("scan --surface 1e200*x*y --residual lw --a 1 --b 0 --c 1 --grid 5,5",
+         "non-finite residual nan at (x, y) = (-1.0, -1.0)"),
+        ("scan --surface ln(x) --residual euler --grid 5,5",
+         "ln of non-positive value -1.0 at (x, y) = (-1.0, -1.0) in the euler residual"),
     ],
 )
 def test_non_finite_input_is_named(capsys, argv, message):
@@ -135,6 +139,26 @@ def test_number_lists_are_checked(capsys, argv, message):
         main(argv.split())
     assert exc_info.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("scan --surface x --residual euler --grid 100000,100000",
+         "grid exceeds the cap of 10000000 nodes"),
+        ("ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1e6 --step 1e-6",
+         "span / step exceeds the cap of 10000000 steps"),
+    ],
+)
+def test_work_is_capped(argv, message):
+    # In a child with a short timeout: without the cap these would run for hours.
+    proc = subprocess.run(
+        [sys.executable, "-m", "isocurv", *argv.split()],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_eval_is_byte_stable(capsys):

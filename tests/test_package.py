@@ -1,0 +1,142 @@
+"""The package root: every public name importable, each submodule loaded on
+first use.
+
+The in-process test run has imported every submodule already, so what a
+fresh interpreter loads is checked in child processes, from sys.modules.
+"""
+
+import ast
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import isocurv
+
+# Every name the package root re-exported when it imported each submodule
+# eagerly, by submodule.
+ROOT_NAMES = {
+    "curvature": "CurvaturePair curvatures factorable_curvatures",
+    "domain": "DEFAULT_EXCLUSION_RADIUS GridDomain VerticalLine",
+    "errors": "DegenerateODEError DegenerateWeingartenError DivisionByZeroError "
+    "EmptyDomainError EvaluationDomainError InvalidSpecError IsocurvError "
+    "MixedVariableError NoConstantPredictionError NumericOverflowError ParseError "
+    "SingularPointError StepTooLargeError UnknownIdentifierError",
+    "expr": "Add Const Cos Div Exp Expr Ln Mul Neg Pow Sin Sqrt Sub Var eval_jet "
+    "eval_value lift_1d num parse to_string variables",
+    "families": "Case31Candidate CaseA CaseB CaseC FamilyPrediction FamilySpec "
+    "NonIsotropicPlane ParabolicSphere build case31_contradiction_scan "
+    "case31_residual predict singular_loci spec_from_dict spec_to_dict verify_family",
+    "jet": "Jet1 Jet2",
+    "mesh": "MeshStats build_mesh write_obj",
+    "ode": "IVP SaturatedLinearODE ShiftedReciprocalODE integrate "
+    "linear_force_solution shifted_reciprocal_residual shifted_reciprocal_solution",
+    "oracle": "FDConfig JetComparison compare fd_jet",
+    "weingarten": "LWParams NormalizedLW ResidualReport euler_residual "
+    "euler_residual_fn jacobian_residual_fn lw_residual lw_residual_fn normalize "
+    "scan_grid summarize weingarten_jacobian",
+}
+ALL_NAMES = [n for names in ROOT_NAMES.values() for n in names.split()]
+HEAVY = {"isocurv.families", "isocurv.ode", "isocurv.mesh", "isocurv.oracle"}
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The isocurv modules a fresh interpreter holds after running code."""
+    report = "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'isocurv'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + code + report],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def run_module(argv: list[str]) -> str:
+    """Code that runs python -m isocurv argv and checks it exits 0."""
+    return (
+        f"import contextlib, io, runpy\nsys.argv = {['isocurv', *argv]!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('isocurv', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code"
+    )
+
+
+def test_every_root_name_is_its_submodules_object():
+    assert len(ALL_NAMES) == len(set(ALL_NAMES)) == 85
+    for module, names in ROOT_NAMES.items():
+        owner = importlib.import_module(f"isocurv.{module}")
+        for name in names.split():
+            assert getattr(isocurv, name) is getattr(owner, name), name
+
+
+def test_star_import_binds_exactly_all():
+    assert len(isocurv.__all__) == len(set(isocurv.__all__)) == 45
+    namespace: dict = {}
+    exec("from isocurv import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(isocurv.__all__)
+
+
+def test_dir_lists_every_root_name():
+    assert set(ALL_NAMES) <= set(dir(isocurv))
+    assert "__version__" in dir(isocurv)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        isocurv.no_such_name
+    assert not hasattr(isocurv, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from isocurv import no_such_name", {})
+
+
+def test_submodules_import_by_name():
+    assert loaded_modules("from isocurv import expr, oracle") == {
+        "isocurv",
+        "isocurv.errors",
+        "isocurv.expr",
+        "isocurv.jet",
+        "isocurv.oracle",
+    }
+
+
+def test_import_loads_no_submodule():
+    assert loaded_modules("import isocurv") == {"isocurv"}
+
+
+def test_cli_import_loads_no_subcommand_module():
+    assert not loaded_modules("import isocurv.cli") & HEAVY
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eval --surface x*y --at 1,2",
+        "scan --surface x^2+y^2 --residual euler --grid 2,2",
+    ],
+)
+def test_eval_and_scan_load_no_subcommand_module(argv):
+    assert not loaded_modules(run_module(argv.split())) & HEAVY
+
+
+def test_ode_loads_only_the_integrator():
+    argv = "ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1 --step 0.1"
+    assert loaded_modules(run_module(argv.split())) == {
+        "isocurv",
+        "isocurv.cli",
+        "isocurv.domain",
+        "isocurv.errors",
+        "isocurv.ode",
+    }
+
+
+def test_mesh_from_a_surface_loads_no_families(tmp_path):
+    argv = ["mesh", "--surface", "x*y", "--grid", "2,2", "--out", str(tmp_path / "m.obj")]
+    loaded = loaded_modules(run_module(argv))
+    assert "isocurv.mesh" in loaded
+    assert "isocurv.families" not in loaded

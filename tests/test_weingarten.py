@@ -8,9 +8,11 @@ from isocurv import (
     CurvaturePair,
     DegenerateWeingartenError,
     EmptyDomainError,
+    EvaluationDomainError,
     GridDomain,
     LWParams,
     NormalizedLW,
+    NumericOverflowError,
     VerticalLine,
     curvatures,
     euler_residual,
@@ -148,6 +150,17 @@ def test_summarize_constant_input_has_exactly_zero_deviation():
     assert report.max_abs == 0.1
 
 
+@pytest.mark.parametrize(
+    "values", [[math.nan, math.nan], [1.0, math.inf], [-2.0, -math.inf, math.nan]]
+)
+def test_summarize_refuses_a_non_finite_value(values):
+    points = [(float(i), 0.5) for i in range(len(values))]
+    first = next(i for i, r in enumerate(values) if not math.isfinite(r))
+    with pytest.raises(NumericOverflowError) as exc_info:
+        summarize(values, points)
+    assert str(exc_info.value).endswith(f"at (x, y) = {points[first]!r}")
+
+
 def test_summarize_empty_raises():
     with pytest.raises(EmptyDomainError):
         summarize([], [])
@@ -188,6 +201,15 @@ def test_scan_grid_all_excluded():
     )
     with pytest.raises(EmptyDomainError):
         scan_grid(parse("x*y"), domain, euler_residual_fn())
+
+
+def test_scan_grid_error_names_the_node_and_residual():
+    domain = GridDomain(nx=3, ny=3)
+    with pytest.raises(EvaluationDomainError) as exc_info:
+        scan_grid(parse("ln(x)"), domain, euler_residual_fn())
+    assert str(exc_info.value) == (
+        "ln of non-positive value -1.0 at (x, y) = (-1.0, -1.0) in the euler residual"
+    )
 
 
 def test_scan_grid_lw_pass_example():
