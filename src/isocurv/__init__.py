@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 # Submodule -> the public names it holds.
 _EXPORTS = {
-    "curvature": ("CurvaturePair", "curvatures", "factorable_curvatures"),
+    "curvature": ("CurvaturePair", "curvatures"),
     "domain": ("DEFAULT_EXCLUSION_RADIUS", "GridDomain", "VerticalLine"),
     "errors": (
         "DegenerateODEError", "DegenerateWeingartenError", "DivisionByZeroError",
@@ -59,7 +59,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 # The names the README documents, and the base class of the package's errors.
 __all__ = [
-    "CurvaturePair", "curvatures", "factorable_curvatures",
+    "CurvaturePair", "curvatures",
     "GridDomain",
     "DegenerateODEError", "IsocurvError", "NoConstantPredictionError", "ParseError",
     "StepTooLargeError",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Callable, Optional
 
 from . import __getattr__ as _package_name
@@ -35,12 +36,11 @@ def __getattr__(name: str):
     return value
 
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DEFAULT_SCAN_TOL = {"lw": 1e-9, "euler": 1e-9, "jacobian": 1e-6}
 DEFAULT_FAMILY_TOL = 1e-9
 DEFAULT_ODE_TOL = 1e-6
-DEFAULT_JACOBIAN_STEP = 1e-3
 
 
 class _UsageError(IsocurvError):
@@ -106,12 +106,6 @@ def build_argparser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float, help="K coefficient (lw residual)")
     sp.add_argument("--c", type=float, help="constant side (lw residual)")
     sp.add_argument("--tol", type=float, help="pass threshold on max |residual|")
-    sp.add_argument(
-        "--fd-step",
-        type=float,
-        default=DEFAULT_JACOBIAN_STEP,
-        help="difference step for the jacobian residual",
-    )
     _add_domain_flags(sp, 0.0)
 
     sp = sub.add_parser("verify-family", help="check a family spec JSON")
@@ -209,14 +203,7 @@ def cmd_eval(args) -> dict:
     j = eval_jet(surface, (x, y))
     pair = curvatures(j)
     result = {
-        "jet": {
-            "v": j.v,
-            "dx": j.dx,
-            "dy": j.dy,
-            "dxx": j.dxx,
-            "dxy": j.dxy,
-            "dyy": j.dyy,
-        },
+        "jet": asdict(j),
         "K": pair.K,
         "H": pair.H,
         "euler_residual": euler_residual(j),
@@ -254,8 +241,7 @@ def cmd_scan(args) -> dict:
     elif args.residual == "euler":
         fn = euler_residual_fn()
     else:
-        params["fd_step"] = args.fd_step
-        fn = jacobian_residual_fn(args.fd_step)
+        fn = jacobian_residual_fn()
     report = scan_grid(surface, domain, fn)
     passed = report.max_abs <= tol
     return _report(
@@ -381,13 +367,8 @@ def cmd_ode(args) -> dict:
         "fp0": args.fp0,
         "t_end": args.t_end,
         "step": args.step,
+        **asdict(rhs),
     }
-    if isinstance(rhs, ShiftedReciprocalODE):
-        params["c3"] = rhs.c3
-        params["m0"] = rhs.m0
-    else:
-        params["c5"] = rhs.c5
-        params["d10"] = rhs.d10
     result = {
         "n_steps": len(trajectory) - 1,
         "endpoint": {"t": t_last, "f": f_last, "fp": fp_last},
@@ -415,11 +396,7 @@ def cmd_mesh(args) -> dict:
     domain = _domain_from_args(args, loci)
     params.update(_domain_params(domain))
     stats = write_obj(surface, domain, args.out)
-    result = {
-        "n_vertices": stats.n_vertices,
-        "n_triangles": stats.n_triangles,
-        "obj": args.out,
-    }
+    result = {**asdict(stats), "obj": args.out}
     return _report("mesh", to_string(surface), params, result, None, {})
 
 

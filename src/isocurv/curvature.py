@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .jet import Jet1, Jet2
+from .jet import Jet2
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,13 +26,3 @@ def curvatures(j: Jet2) -> CurvaturePair:
         H=0.5 * (j.dxx + j.dyy),
     )
 
-
-def factorable_curvatures(fj: Jet1, gj: Jet1) -> CurvaturePair:
-    """Invariants of a product surface z = f(x) g(y) from the factor jets.
-
-    For such surfaces z_xx = f'' g, z_yy = f g'', z_xy = f' g', so the
-    invariants factor through univariate data only.
-    """
-    K = (fj.dd * fj.v) * (gj.dd * gj.v) - (fj.d * fj.d) * (gj.d * gj.d)
-    H = 0.5 * (fj.dd * gj.v + fj.v * gj.dd)
-    return CurvaturePair(K=K, H=H)

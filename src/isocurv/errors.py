@@ -15,6 +15,14 @@ def require_finite(record, *names: str) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def require_nonzero(record, *names: str) -> None:
+    """Raise InvalidSpecError naming the first of record's fields that is
+    zero, as "<class> requires <name> != 0"."""
+    for name in names:
+        if getattr(record, name) == 0.0:
+            raise InvalidSpecError(f"{type(record).__name__} requires {name} != 0")
+
+
 class IsocurvError(Exception):
     """Base class for all errors raised by this package."""
 

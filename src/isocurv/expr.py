@@ -338,16 +338,9 @@ def _print(e: Expr, min_prec: int) -> str:
             body = _print(l, _PREC_MUL) + "/" + _print(r, _PREC_MUL + 1)
         case Pow(base=b, exponent=ex):
             body = _print(b, _PREC_ATOM) + "^" + _fmt_float(ex)
-        case Exp(arg=a):
-            body = f"exp({_print(a, 0)})"
-        case Ln(arg=a):
-            body = f"ln({_print(a, 0)})"
-        case Sin(arg=a):
-            body = f"sin({_print(a, 0)})"
-        case Cos(arg=a):
-            body = f"cos({_print(a, 0)})"
-        case Sqrt(arg=a):
-            body = f"sqrt({_print(a, 0)})"
+        case Exp(arg=a) | Ln(arg=a) | Sin(arg=a) | Cos(arg=a) | Sqrt(arg=a):
+            # Each function's class is its name capitalized (see _FUNCS).
+            body = f"{type(e).__name__.lower()}({_print(a, 0)})"
         case _:
             raise TypeError(f"not an expression node: {e!r}")
     if _prec(e) < min_prec:
@@ -435,7 +428,7 @@ def _emit(t: jetmath.Tape, e: Expr, x: jetmath.Src, y: jetmath.Src) -> jetmath.S
     match e:
         case Const(value=v):
             # repr round-trips a finite float exactly; float() takes inf and nan.
-            return t.jet(repr(v) if math.isfinite(v) else f"float('{v}')", *jetmath.ONE[1:])
+            return t.seed(repr(v) if math.isfinite(v) else f"float('{v}')")
         case Var(name=name):
             return x if name == "x" else y
         case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) | Div(left=l, right=r):
@@ -462,33 +455,33 @@ _JET_RULES = {
 }
 
 
-def compile_jet(e: Expr):
-    """Compile e once into kernel(x, y) -> Jet2: straight-line statements
-    that compute its second-order jet at (x, y), bit for bit as one jet
-    operation at a time would, raising the same errors."""
-    t = jetmath.Tape()
-    seeds = ("x", "1.0", "0.0", "0.0", "0.0", "0.0"), ("y", "0.0", "1.0", "0.0", "0.0", "0.0")
-    return t.function(_emit(t, e, *seeds))
+def compile_jet(e: Expr, order: int = 2):
+    """Compile e once into kernel(x, y) -> Jet2, or Jet3 at order 3:
+    straight-line statements that compute its jet of that order at (x, y),
+    bit for bit as one jet operation at a time would, raising the same
+    errors."""
+    t = jetmath.Tape(order)
+    return t.function(_emit(t, e, t.seed("x", dx="1.0"), t.seed("y", dy="1.0")))
 
 
-# The tree evaluated last and its kernel: every caller evaluates one tree
-# at many points in a row.
-_last: tuple = (None, None)
+# The tree and order evaluated last and their kernel: every caller evaluates
+# one tree at many points in a row.
+_last: tuple = (None, None, None)
 
 
-def _kernel(e: Expr):
+def _kernel(e: Expr, order: int = 2):
     global _last
-    tree, kernel = _last  # one read, so a swap by another thread cannot mix trees
-    if tree is not e:
-        kernel = compile_jet(e)
-        _last = (e, kernel)
+    tree, last_order, kernel = _last  # one read, so a swap by another thread cannot mix trees
+    if tree is not e or last_order != order:
+        kernel = compile_jet(e, order)
+        _last = (e, order, kernel)
     return kernel
 
 
-def eval_jet(e: Expr, p: tuple[float, float]) -> Jet2:
-    """Value and all partials up to order two at p, by the compiled kernel
-    of e."""
-    return _kernel(e)(p[0], p[1])
+def eval_jet(e: Expr, p: tuple[float, float], order: int = 2) -> Jet2:
+    """Value and all partials up to order two at p, or three at order 3
+    (a Jet3), by the compiled kernel of e."""
+    return _kernel(e, order)(p[0], p[1])
 
 
 def variables(e: Expr) -> frozenset[str]:

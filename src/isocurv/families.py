@@ -17,8 +17,8 @@ class name and the numeric fields of that class, nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields, replace
-from typing import Optional, Union
+from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
+from typing import Optional, Union, get_args
 
 from .curvature import curvatures
 from .domain import GridDomain, VerticalLine
@@ -26,7 +26,9 @@ from .errors import (
     EmptyDomainError,
     InvalidSpecError,
     NoConstantPredictionError,
+    NumericOverflowError,
     SingularPointError,
+    require_nonzero,
 )
 from .expr import Add, Const, Div, Expr, Mul, Neg, Pow, Sub, Var, eval_jet, num
 from .weingarten import LWParams, ResidualReport, scan_grid, summarize
@@ -44,10 +46,7 @@ class CaseA:
     d2: float
 
     def __post_init__(self):
-        if self.f0 == 0.0:
-            raise InvalidSpecError("CaseA requires f0 != 0")
-        if self.m0 == 0.0:
-            raise InvalidSpecError("CaseA requires m0 != 0")
+        require_nonzero(self, "f0", "m0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,10 +61,7 @@ class CaseB:
     d4: float
 
     def __post_init__(self):
-        if self.g0 == 0.0:
-            raise InvalidSpecError("CaseB requires g0 != 0")
-        if self.m0 == 0.0:
-            raise InvalidSpecError("CaseB requires m0 != 0")
+        require_nonzero(self, "g0", "m0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,10 +75,7 @@ class CaseC:
     d16: float
 
     def __post_init__(self):
-        if self.c8 == 0.0:
-            raise InvalidSpecError("CaseC requires c8 != 0")
-        if self.c9 == 0.0:
-            raise InvalidSpecError("CaseC requires c9 != 0")
+        require_nonzero(self, "c8", "c9")
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,8 +89,7 @@ class ParabolicSphere:
     d10: float
 
     def __post_init__(self):
-        if self.c3 == 0.0:
-            raise InvalidSpecError("ParabolicSphere requires c3 != 0")
+        require_nonzero(self, "c3")
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,12 +115,7 @@ class Case31Candidate:
     m0: float
 
     def __post_init__(self):
-        if self.c3 == 0.0:
-            raise InvalidSpecError("Case31Candidate requires c3 != 0")
-        if self.c4 == 0.0:
-            raise InvalidSpecError("Case31Candidate requires c4 != 0")
-        if self.m0 == 0.0:
-            raise InvalidSpecError("Case31Candidate requires m0 != 0")
+        require_nonzero(self, "c3", "c4", "m0")
 
 
 FamilySpec = Union[
@@ -172,41 +159,33 @@ def _signed_sum(parts: list[tuple[float, Optional[Expr]]]) -> Expr:
     return acc if acc is not None else Const(0.0)
 
 
-def _x() -> Expr:
-    return Var("x")
-
-
-def _y() -> Expr:
-    return Var("y")
-
-
 def build(spec: FamilySpec) -> Expr:
     """Closed-form surface of a family spec, as an expression tree."""
     match spec:
         case CaseA(f0=f0, m0=m0, n0=n0, d1=d1, d2=d2):
-            g = _signed_sum([(n0 / (f0 * m0), Pow(_y(), 2.0)), (d1, _y()), (d2, None)])
+            g = _signed_sum([(n0 / (f0 * m0), Pow(Var("y"), 2.0)), (d1, Var("y")), (d2, None)])
             return Mul(num(f0), g)
         case CaseB(g0=g0, m0=m0, n0=n0, d3=d3, d4=d4):
-            f = _signed_sum([(n0 / (g0 * m0), Pow(_x(), 2.0)), (d3, _x()), (d4, None)])
+            f = _signed_sum([(n0 / (g0 * m0), Pow(Var("x"), 2.0)), (d3, Var("x")), (d4, None)])
             return Mul(f, num(g0))
         case CaseC(c8=c8, d15=d15, c9=c9, d16=d16):
             return Mul(
-                _signed_sum([(c8, _x()), (d15, None)]),
-                _signed_sum([(c9, _y()), (d16, None)]),
+                _signed_sum([(c8, Var("x")), (d15, None)]),
+                _signed_sum([(c9, Var("y")), (d16, None)]),
             )
         case ParabolicSphere(c3=c3, d8=d8, d9=d9, d10=d10):
             return _signed_sum(
                 [
-                    (c3, Add(Pow(_x(), 2.0), Pow(_y(), 2.0))),
-                    (d8, _x()),
-                    (d9, _y()),
+                    (c3, Add(Pow(Var("x"), 2.0), Pow(Var("y"), 2.0))),
+                    (d8, Var("x")),
+                    (d9, Var("y")),
                     (d10, None),
                 ]
             )
         case NonIsotropicPlane(p=p, q=q, r=r):
-            return _signed_sum([(p, _x()), (q, _y()), (r, None)])
+            return _signed_sum([(p, Var("x")), (q, Var("y")), (r, None)])
         case Case31Candidate(c3=c3, c4=c4, d7=d7, d8=d8, d9=d9, m0=m0):
-            denom = _signed_sum([(c4, _x()), (d9, None)])
+            denom = _signed_sum([(c4, Var("x")), (d9, None)])
             shift = m0 / (2.0 * c3)
             recip = Div(Const(1.0), denom)
             inner = (
@@ -215,7 +194,7 @@ def build(spec: FamilySpec) -> Expr:
                 else Sub(recip, Const(-shift))
             )
             f = Neg(inner)
-            g = _signed_sum([(c3, Pow(_y(), 2.0)), (d7, _y()), (d8, None)])
+            g = _signed_sum([(c3, Pow(Var("y"), 2.0)), (d7, Var("y")), (d8, None)])
             return Mul(f, g)
         case _:
             raise InvalidSpecError(f"not a family spec: {spec!r}")
@@ -307,8 +286,12 @@ def case31_residual(spec: Case31Candidate, n0: float, x: float) -> float:
     t = spec.c4 * x + spec.d9
     if abs(t) < 1e-12:
         raise SingularPointError(f"sample x = {x!r} hits the pole")
+    try:
+        t4 = t**4
+    except OverflowError:
+        raise NumericOverflowError(f"relation defect overflows at sample x = {x!r}") from None
     lead = spec.c4 * spec.c4 * (4.0 * spec.c3 * spec.d8 - spec.d7 * spec.d7)
-    return lead / t**4 - 2.0 * spec.m0 * spec.c3 / t - spec.m0 * spec.m0 - n0
+    return lead / t4 - 2.0 * spec.m0 * spec.c3 / t - spec.m0 * spec.m0 - n0
 
 
 def case31_contradiction_scan(
@@ -330,21 +313,11 @@ def case31_contradiction_scan(
 
 # -- JSON wire format --------------------------------------------------------
 
-_KINDS: dict[str, type] = {
-    "CaseA": CaseA,
-    "CaseB": CaseB,
-    "CaseC": CaseC,
-    "ParabolicSphere": ParabolicSphere,
-    "NonIsotropicPlane": NonIsotropicPlane,
-    "Case31Candidate": Case31Candidate,
-}
+_KINDS: dict[str, type] = {cls.__name__: cls for cls in get_args(FamilySpec)}
 
 
 def spec_to_dict(spec: FamilySpec) -> dict:
-    out: dict = {"kind": type(spec).__name__}
-    for f in dataclass_fields(spec):
-        out[f.name] = getattr(spec, f.name)
-    return out
+    return {"kind": type(spec).__name__, **asdict(spec)}
 
 
 def spec_from_dict(data: object) -> FamilySpec:

@@ -10,13 +10,14 @@ scan machinery:
 * the Euler defect (z_xx - z_yy)^2 + 4 z_xy^2, which equals 4 (H^2 - K)
   and vanishes exactly on parabolic spheres and non-isotropic planes;
 * the Jacobian of the map (x, y) -> (K, H), whose vanishing marks a
-  W-surface (some functional relation between the invariants holds).
+  W-surface (some functional relation between the invariants holds),
+  computed exactly from one third-order jet per point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .curvature import CurvaturePair, curvatures
@@ -71,19 +72,15 @@ def euler_residual(j: Jet2) -> float:
     return d * d + 4.0 * (j.dxy * j.dxy)
 
 
-def weingarten_jacobian(
-    surface: Expr, p: tuple[float, float], h: float = 1e-3
-) -> float:
-    """det d(K, H)/d(x, y) at p, by central differences of the invariants."""
-    x, y = p
-    east = curvatures(eval_jet(surface, (x + h, y)))
-    west = curvatures(eval_jet(surface, (x - h, y)))
-    north = curvatures(eval_jet(surface, (x, y + h)))
-    south = curvatures(eval_jet(surface, (x, y - h)))
-    kx = (east.K - west.K) / (2.0 * h)
-    ky = (north.K - south.K) / (2.0 * h)
-    hx = (east.H - west.H) / (2.0 * h)
-    hy = (north.H - south.H) / (2.0 * h)
+def weingarten_jacobian(surface: Expr, p: tuple[float, float]) -> float:
+    """det d(K, H)/d(x, y) at p, exactly from the third-order jet: with
+    K = z_xx z_yy - z_xy^2 and H = (z_xx + z_yy)/2, each partial of K and H
+    is a polynomial in the second and third partials of z."""
+    j = eval_jet(surface, p, 3)
+    kx = j.dxxx * j.dyy + j.dxx * j.dxyy - 2.0 * j.dxy * j.dxxy
+    ky = j.dxxy * j.dyy + j.dxx * j.dyyy - 2.0 * j.dxy * j.dxyy
+    hx = 0.5 * (j.dxxx + j.dxyy)
+    hy = 0.5 * (j.dxxy + j.dyyy)
     return kx * hy - ky * hx
 
 
@@ -106,9 +103,9 @@ def euler_residual_fn() -> ResidualFn:
     return euler
 
 
-def jacobian_residual_fn(h: float = 1e-3) -> ResidualFn:
+def jacobian_residual_fn() -> ResidualFn:
     def jacobian(surface: Expr, x: float, y: float) -> float:
-        return weingarten_jacobian(surface, (x, y), h)
+        return weingarten_jacobian(surface, (x, y))
 
     return jacobian
 
@@ -122,13 +119,7 @@ class ResidualReport:
     worst_point: tuple[float, float]
 
     def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "max_abs": self.max_abs,
-            "mean_abs": self.mean_abs,
-            "std_dev": self.std_dev,
-            "worst_point": list(self.worst_point),
-        }
+        return {**asdict(self), "worst_point": list(self.worst_point)}
 
 
 def summarize(values: list[float], points: list[tuple[float, float]]) -> ResidualReport:

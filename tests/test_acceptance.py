@@ -151,7 +151,7 @@ def test_criterion_04():
         surface = build(spec)
         for _ in range(25):
             p = (rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
-            worst_jac = max(worst_jac, abs(weingarten_jacobian(surface, p, h=1e-3)))
+            worst_jac = max(worst_jac, abs(weingarten_jacobian(surface, p)))
     passed = worst_dev <= 1e-9 and worst_jac <= 1e-6
     return passed, (
         f"3 kinds: max invariant deviation {worst_dev:.3e} (tol 1e-9), "

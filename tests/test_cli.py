@@ -45,7 +45,7 @@ def test_eval_report(capsys):
     )
     assert code == 0
     assert err == ""
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["command"] == "eval"
     assert report["surface"] == "x^2*y+3*x*y"
     assert report["params"] == {"at": [2.0, 5.0]}
@@ -90,8 +90,6 @@ def test_eval_singularity_is_an_error(capsys):
         "eval --surface 1e200*x*y --at 1,1",
         # A NaN coefficient is refused when the relation is built.
         "scan --surface x^2+y^2 --residual lw --a nan --b 1 --c 0 --grid 5,5",
-        # ZeroDivisionError in the central differences.
-        "scan --surface x^2+y^2 --residual jacobian --fd-step 0 --grid 5,5",
         # An infinite span / step ratio is above the step cap.
         "ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1e300 --step 1e-300",
     ],
@@ -116,10 +114,13 @@ def test_non_finite_or_arithmetic_failure_is_refused(capsys, argv):
          "non-finite residual nan at (x, y) = (-1.0, -1.0)"),
         ("scan --surface ln(x) --residual euler --grid 5,5",
          "ln of non-positive value -1.0 at (x, y) = (-1.0, -1.0) in the euler residual"),
+        # (c4 x + d9)^4 overflows in the contradiction scan.
+        ("verify-family --spec {spec}", "relation defect overflows at sample x = -1.0"),
     ],
 )
-def test_non_finite_input_is_named(capsys, argv, message):
-    code, report, err = run_cli(capsys, *argv.split())
+def test_non_finite_input_is_named(capsys, tmp_path, argv, message):
+    spec = write_spec(tmp_path, "spec.json", dict(CASE_31, c4=1e100, d8=1.0, d9=0.5))
+    code, report, err = run_cli(capsys, *argv.format(spec=spec).split())
     assert (code, report, err) == (2, None, f"error: {message}\n")
 
 
@@ -253,8 +254,27 @@ def test_scan_jacobian(capsys):
     )
     assert code == 0
     assert report["pass"] is True
-    assert report["params"]["fd_step"] == 1e-3
     assert report["tolerances"] == {"jacobian": 1e-6}
+
+
+@pytest.mark.parametrize(
+    "surface, code, max_abs",
+    [
+        # A rotational W-surface: the exact Jacobian leaves only rounding.
+        ("exp(x^2+y^2)", 0, 1e-9),
+        # 108 (y - x), largest at (1, -1).
+        ("x^3+y^3", 1, 216.0),
+    ],
+)
+def test_scan_jacobian_is_exact(capsys, surface, code, max_abs):
+    argv = ("scan", "--surface", surface, "--residual", "jacobian", "--grid", "51,51")
+    got, report, _ = run_cli(capsys, *argv)
+    assert got == code
+    assert report["tolerances"] == {"jacobian": 1e-6}
+    if code:
+        assert report["result"]["max_abs"] == max_abs
+    else:
+        assert report["result"]["max_abs"] <= max_abs
 
 
 def test_scan_lw_requires_coefficients(capsys):

@@ -4,8 +4,6 @@ from isocurv import (
     CurvaturePair,
     curvatures,
     eval_jet,
-    factorable_curvatures,
-    lift_1d,
     parse,
 )
 
@@ -37,20 +35,3 @@ def test_exponential_product_curvatures():
     assert pair.K == pytest.approx(0.0, abs=1e-15)
     assert pair.H == pytest.approx(1.0, rel=1e-15)
 
-
-def test_factorable_form_matches_full_jet():
-    f = parse("x^2")
-    g = parse("sin(y)")
-    full = parse("x^2*sin(y)")
-    for x0, y0 in ((2.0, 0.3), (-1.2, 1.0), (0.5, -0.9)):
-        split = factorable_curvatures(lift_1d(f, x0), lift_1d(g, y0))
-        whole = curvatures(eval_jet(full, (x0, y0)))
-        assert split.K == pytest.approx(whole.K, rel=1e-13, abs=1e-13)
-        assert split.H == pytest.approx(whole.H, rel=1e-13, abs=1e-13)
-
-
-def test_factorable_hand_values():
-    # f = x^2, g = y at (1, 2): f''=2, g''=0, f'=2x, g'=1.
-    pair = factorable_curvatures(lift_1d(parse("x^2"), 1.0), lift_1d(parse("y"), 2.0))
-    assert pair.K == 2.0 * 1.0 * (0.0 * 2.0) - 4.0 * 1.0  # -4
-    assert pair.H == 0.5 * (2.0 * 2.0 + 1.0 * 0.0)  # 2

@@ -319,7 +319,13 @@ def test_kernel_cache_is_bounded_and_keyed_by_identity():
         eval_jet(parse(f"x*{i}+y"), (1.0, 2.0))
     last = parse("x+y")
     kernel = expr_module._kernel(last)
-    assert expr_module._last == (last, kernel)
+    assert expr_module._last == (last, 2, kernel)
+    # The slot is keyed on the order too: a change of order recompiles.
+    third = expr_module._kernel(last, 3)
+    assert third is not kernel and expr_module._last == (last, 3, third)
+    assert expr_module._kernel(last, 2) is not kernel
+    with pytest.raises(ValueError, match="jet order must be 2 or 3"):
+        expr_module.compile_jet(last, 4)
 
 
 def test_variables_collector():

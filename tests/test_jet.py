@@ -1,6 +1,6 @@
 """Jet rules through the compiled kernels: exactness on polynomials, chain
-rules, commutativity, guards, and bit identity with the recorded outcomes
-of the tree-walking evaluator."""
+rules, commutativity, guards, bit identity with the recorded outcomes of
+the tree-walking evaluator, and the third partials of order-3 kernels."""
 
 from __future__ import annotations
 
@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from isocurv.errors import (
     DivisionByZeroError,
     EvaluationDomainError,
+    IsocurvError,
     NumericOverflowError,
 )
-from isocurv.expr import Add, Div, Mul, eval_jet, eval_value, lift_1d, num, parse
+from isocurv.expr import Add, Div, Mul, compile_jet, eval_jet, eval_value, lift_1d, num, parse
 from isocurv.jet import Jet2
 
 COMPONENTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
+THIRD = ("dxxx", "dxxy", "dxyy", "dyyy")
 ORIGIN = (0.0, 0.0)
 
 finite = st.floats(
@@ -50,8 +52,22 @@ def jet_at_origin(e) -> Jet2:
     return eval_jet(e, ORIGIN)
 
 
-def bits(j: Jet2) -> tuple[str, ...]:
-    return tuple(getattr(j, name).hex() for name in COMPONENTS)
+def bits(j: Jet2, names=COMPONENTS) -> tuple[str, ...]:
+    return tuple(getattr(j, name).hex() for name in names)
+
+
+_CUBICS = tuple(parse(m) for m in ("x^3", "x^2*y", "x*y^2", "y^3"))
+
+
+def jets3():
+    """Cubics, so that every component of an order-3 jet at the origin can
+    be nonzero."""
+    def cubic(quadratic, coefficients):
+        for c, m in zip(coefficients, _CUBICS):
+            quadratic = Add(quadratic, Mul(num(c), m))
+        return quadratic
+
+    return st.builds(cubic, jets2(), st.tuples(finite, finite, finite, finite))
 
 
 def test_seeds():
@@ -229,3 +245,84 @@ def test_outcomes_match_the_tree_walk_bit_for_bit():
     changed = [i for i, (got, want) in enumerate(zip(blocks, golden["digests"])) if got != want]
     assert not changed, f"blocks of {golden['block']} cases that changed: {changed}"
 
+
+# -- order 3 -------------------------------------------------------------------
+
+_P = (0.7, 1.3)
+
+
+def _third_partials(x, y):
+    """Closed forms of (z_xxx, z_xxy, z_xyy, z_yyy) at (x, y), by surface."""
+    e = math.exp(x * x + y * y)
+    s, c = math.sin(x * y), math.cos(x * y)
+    return {
+        "x^3*y": (6 * y, 6 * x, 0.0, 0.0),
+        "x^2*y^2": (0.0, 4 * y, 4 * x, 0.0),
+        "x/y": (0.0, 0.0, 2 / y**3, -6 * x / y**4),
+        "exp(x^2+y^2)": ((12 * x + 8 * x**3) * e, (2 + 4 * x * x) * 2 * y * e,
+                         (2 + 4 * y * y) * 2 * x * e, (12 * y + 8 * y**3) * e),
+        "sin(x*y)": (-y**3 * c, -2 * y * s - x * y * y * c, -2 * x * s - x * x * y * c, -x**3 * c),
+        "cos(x*y)": (y**3 * s, -2 * y * c + x * y * y * s, -2 * x * c + x * x * y * s, x**3 * s),
+        "ln(x)": (2 / x**3, 0.0, 0.0, 0.0),
+        "sqrt(x)": (0.375 * x**-2.5, 0.0, 0.0, 0.0),
+        "x^2.5": (2.5 * 1.5 * 0.5 * x**-0.5, 0.0, 0.0, 0.0),
+        "x^-3": (-60 * x**-6, 0.0, 0.0, 0.0),
+    }
+
+
+@pytest.mark.parametrize("surface", sorted(_third_partials(*_P)))
+def test_third_partials_match_closed_forms(surface):
+    j = eval_jet(parse(surface), _P, 3)
+    want = _third_partials(*_P)[surface]
+    for name, w in zip(THIRD, want):
+        assert getattr(j, name) == pytest.approx(w, rel=1e-13, abs=1e-13), name
+    assert bits(j) == bits(eval_jet(parse(surface), _P))
+
+
+@given(jets3(), jets3())
+def test_order_3_multiplication_commutes_bit_for_bit(a, b):
+    names = COMPONENTS + THIRD
+    assert bits(eval_jet(Mul(a, b), ORIGIN, 3), names) == bits(eval_jet(Mul(b, a), ORIGIN, 3), names)
+
+
+@given(jets3(), jets3())
+def test_order_3_addition_commutes_bit_for_bit(a, b):
+    names = COMPONENTS + THIRD
+    assert bits(eval_jet(Add(a, b), ORIGIN, 3), names) == bits(eval_jet(Add(b, a), ORIGIN, 3), names)
+
+
+@pytest.mark.parametrize(
+    "surface, message",
+    [
+        # sqrt(v) v^2 underflows to 0 although sqrt(v) v does not.
+        ("sqrt(x)", "sqrt third derivative overflows at argument 1e-200"),
+        # v ** -2.5 overflows although v ** -1.5 does not.
+        ("x^0.5", "power overflow at base 1e-200"),
+    ],
+)
+def test_errors_raised_only_at_order_3_name_their_cause(surface, message):
+    p = (1e-200, 0.0)
+    assert eval_jet(parse(surface), p).v == math.sqrt(1e-200)
+    with pytest.raises(NumericOverflowError, match=message):
+        eval_jet(parse(surface), p, 3)
+
+
+def test_order_3_kernels_extend_the_order_2_kernels_bit_for_bit():
+    """On every tenth seeded tree of the golden fixture and on every
+    hand-picked surface, at each of their points: wherever the order-3
+    kernel returns, the order-2 kernel returns its first six components."""
+    tree = kernels = None
+    checked = 0
+    for i, (kind, e, p) in enumerate(jet_golden.cases()):
+        tree_index = i // 5  # each seeded tree has three eval_jet cases and two lift_1d
+        if kind != "eval_jet" or (tree_index < jet_golden.N_TREES and tree_index % 10):
+            continue
+        if e is not tree:
+            tree, kernels = e, (compile_jet(e), compile_jet(e, 3))
+        try:
+            j3 = kernels[1](*p)
+        except (IsocurvError, ArithmeticError, ValueError):
+            continue
+        assert bits(kernels[0](*p)) == bits(j3), (e, p)
+        checked += 1
+    assert checked > 5000
