@@ -24,6 +24,7 @@ compile_jet builds once per tree from the jet rules; eval_value is a plain
 float recursion kept free of any jet code so finite-difference checks
 built on it are a genuinely separate path. lift_1d runs the same kernel on
 single-variable factors and keeps the partials in the variable used.
+compile_jet at order 0 gives the value alone, which meshes use.
 """
 
 from __future__ import annotations
@@ -456,10 +457,10 @@ _JET_RULES = {
 
 
 def compile_jet(e: Expr, order: int = 2):
-    """Compile e once into kernel(x, y) -> Jet2, or Jet3 at order 3:
-    straight-line statements that compute its jet of that order at (x, y),
-    bit for bit as one jet operation at a time would, raising the same
-    errors."""
+    """Compile e once into kernel(x, y) -> Jet2, or Jet3 at order 3, or the
+    value as a float at order 0: straight-line statements that compute its
+    jet of that order at (x, y), bit for bit as one jet operation at a time
+    would, raising the same errors."""
     t = jetmath.Tape(order)
     return t.function(_emit(t, e, t.seed("x", dx="1.0"), t.seed("y", dy="1.0")))
 

@@ -1,20 +1,21 @@
-"""Truncated Taylor rules of order two or three, emitted as straight-line
-source.
+"""Truncated Taylor rules of order zero, two or three, emitted as
+straight-line source.
 
 Jet2 holds the value and the partials up to order two of z(x, y) at a
 point, Jet3 up to order three, and Jet1 the value and two derivatives
-lift_1d returns; none has arithmetic. Each rule appends to a Tape the
-statements that compute its result and returns the result's source, one
-atom per multi-index of _INDICES up to the Tape's order, so the formulas,
-their guards and their error messages live here alone; expr.compile_jet
-walks a tree once through the rules. mul (Leibniz), div (the quotient
-recurrence) and chain (Faa di Bruno) state their formula once for both
-orders (Griewank & Walther, Evaluating Derivatives, 2nd ed., ch. 13), and
-a scalar map lists its derivatives up to the third for chain to take what
-the order needs. Each rule keeps the operation order of its formula, so a
-kernel computes bit for bit what one jet operation at a time would, and an
-order-3 kernel that returns has the order-2 kernel's components. Each
-product term is grouped with its mirror, so a * b and b * a produce
+lift_1d returns; none has arithmetic. Order 0 keeps the value alone, a
+bare float. Each rule appends to a Tape the statements that compute its
+result and returns the result's source, one atom per multi-index of
+_INDICES up to the Tape's order, so the formulas, their guards and their
+error messages live here alone; expr.compile_jet walks a tree once
+through the rules. mul (Leibniz), div (the quotient recurrence) and chain
+(Faa di Bruno) state their formula once for every order (Griewank &
+Walther, Evaluating Derivatives, 2nd ed., ch. 13), and a scalar map lists
+its derivatives up to the third for chain to emit only what the order
+needs. Each rule keeps the operation order of its formula, so a kernel
+computes bit for bit what one jet operation at a time would, and where a
+kernel returns, the kernels of lower orders return the same components.
+Each product term is grouped with its mirror, so a * b and b * a produce
 identical jets (IEEE addition and multiplication are commutative; only
 re-association changes rounding).
 """
@@ -126,11 +127,11 @@ def _rules(order: int) -> dict[str, list[str]]:
 
 class Tape:
     """The statements of one kernel, in evaluation order, at a truncation
-    order of 2 or 3."""
+    order of 0 (the value alone), 2 or 3."""
 
     def __init__(self, order: int = 2) -> None:
-        if order not in (2, 3):
-            raise ValueError(f"jet order must be 2 or 3, not {order!r}")
+        if order not in (0, 2, 3):
+            raise ValueError(f"jet order must be 0, 2 or 3, not {order!r}")
         self.order, self.size = order, (order + 1) * (order + 2) // 2
         self.rules = _rules(order)
         self.lines: list[str] = []
@@ -146,7 +147,7 @@ class Tape:
 
     def seed(self, value: str, dx: str = "0.0", dy: str = "0.0") -> Src:
         """The jet with the given value and first partials, and zero above."""
-        return (*self.jet(value), dx, dy) + ("0.0",) * (self.size - 3)
+        return ((*self.jet(value), dx, dy) + ("0.0",) * (self.size - 3))[: self.size]
 
     def guard(self, head: str, cls: str, text: str, value: str = "") -> None:
         """Append head, an if or a try/except header, with a raise of
@@ -163,11 +164,11 @@ class Tape:
         return names
 
     def function(self, result: Src):
-        """Compile into kernel(x, y) -> Jet2 or Jet3, refusing a non-finite
-        result."""
+        """Compile into kernel(x, y) -> Jet2 or Jet3, or the bare float at
+        order 0, refusing a non-finite result."""
         finite = " or ".join(f"not isfinite({c})" for c in result)
         self.guard(f"if {finite}", "NumericOverflowError", "jet evaluation produced a non-finite value")
-        self.lines.append(f"return Jet{self.order}({', '.join(result)})")
+        self.lines.append(f"return Jet{self.order}({', '.join(result)})" if self.order else f"return {result[0]}")
         body = "".join(f"\n    {line}" for entry in self.lines for line in entry.split("\n"))
         namespace = dict(_NAMESPACE)
         exec(compile(f"def kernel(x, y):{body}", "<jet kernel>", "exec"), namespace)
@@ -202,9 +203,11 @@ def div(t: Tape, a: Src, b: Src) -> Src:
 
 def chain(t: Tape, j: Src, *derivatives: str) -> Src:
     """Compose with a scalar map given its value and its derivatives up to
-    the third, as sources at the value of j; only those up to the tape's
-    order are emitted."""
-    f = t.jet(*derivatives[: t.order + 1])
+    the third, as sources at the value of j in which {k} stands for the
+    k-th of them; only those up to the tape's order are emitted."""
+    f: list[str] = []
+    for d in derivatives[: t.order + 1]:
+        f += t.jet(d.format(*f))
     return t.jet(*(s.format(*j, *f) for s in t.rules["chain"]))
 
 
@@ -217,8 +220,7 @@ def exp(t: Tape, j: Src) -> Src:
 def ln(t: Tape, j: Src) -> Src:
     v = j[0]
     t.guard(f"if {v} <= 0.0", "EvaluationDomainError", "ln of non-positive value", v)
-    inv = t.let(f"1.0 / {v}")
-    return chain(t, j, f"log({v})", inv, f"-({inv} * {inv})", f"2.0 * {inv} * {inv} * {inv}")
+    return chain(t, j, f"log({v})", f"1.0 / {v}", "-({1} * {1})", "2.0 * {1} * {1} * {1}")
 
 
 # math.sin and math.cos refuse exactly the infinite arguments; a NaN goes on
@@ -226,15 +228,13 @@ def ln(t: Tape, j: Src) -> Src:
 def sin(t: Tape, j: Src) -> Src:
     v = j[0]
     t.guard(f"if isinf({v})", "NumericOverflowError", "sin of non-finite argument", v)
-    s, c = t.let(f"sin({v})"), t.let(f"cos({v})")
-    return chain(t, j, s, c, f"-{s}", f"-{c}")
+    return chain(t, j, f"sin({v})", f"cos({v})", "-{0}", "-{1}")
 
 
 def cos(t: Tape, j: Src) -> Src:
     v = j[0]
     t.guard(f"if isinf({v})", "NumericOverflowError", "cos of non-finite argument", v)
-    c, ns = t.let(f"cos({v})"), t.let(f"-sin({v})")
-    return chain(t, j, c, ns, f"-{c}", f"-{ns}")
+    return chain(t, j, f"cos({v})", f"-sin({v})", "-{0}", "-{1}")
 
 
 def sqrt(t: Tape, j: Src) -> Src:
@@ -242,10 +242,10 @@ def sqrt(t: Tape, j: Src) -> Src:
     t.guard(f"if {v} <= 0.0", "EvaluationDomainError", "sqrt of non-positive value", v)
     p = [t.let(f"sqrt({v})")]
     # r v^k is zero only by underflow, where derivative k + 1 would be infinite.
-    for nth in ("second", "third")[: t.order - 1]:
+    for nth in ("second", "third")[: max(t.order - 1, 0)]:
         p.append(t.let(f"{p[-1]} * {v}"))
         t.guard(f"if {p[-1]} == 0.0", "NumericOverflowError", f"sqrt {nth} derivative overflows at argument", v)
-    return chain(t, j, p[0], f"0.5 / {p[0]}", f"-0.25 / {p[1]}", f"0.375 / {p[-1]}")
+    return chain(t, j, p[0], *(f"{c} / {q}" for c, q in zip(("0.5", "-0.25", "0.375"), p)))
 
 
 def pow_int(t: Tape, j: Src, n: int) -> Src:

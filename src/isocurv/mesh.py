@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .domain import GridDomain
-from .errors import EmptyDomainError
-from .expr import Expr, eval_value
+from .errors import EmptyDomainError, IsocurvError
+from .expr import Expr, compile_jet
 
 
 @dataclass(frozen=True, slots=True)
@@ -20,28 +20,33 @@ def build_mesh(
 ) -> tuple[list[tuple[float, float, float]], list[tuple[int, int, int]]]:
     """Vertices (x, y, z) for surviving grid nodes in row-major order and
     1-based triangle index triples. Grid cells touching an excluded node
-    produce no faces, so exclusion gaps stay open."""
-    xs = domain.xs()
-    ys = domain.ys()
-    vertices: list[tuple[float, float, float]] = []
-    index: dict[tuple[int, int], int] = {}
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            if not domain.included(x, y):
-                continue
-            index[(i, j)] = len(vertices) + 1
-            vertices.append((x, y, eval_value(surface, (x, y))))
-    if not vertices:
+    produce no faces, so exclusion gaps stay open. z is the value of the
+    surface's order-0 kernel; an error at a node is re-raised with the node
+    named."""
+    value = compile_jet(surface, 0)
+    # Every locus is a vertical line, so a column is kept or dropped whole.
+    grid_xs = domain.xs()
+    columns = [i for i, x in enumerate(grid_xs) if domain.included(x, domain.y_min)]
+    if not columns:
         raise EmptyDomainError("every grid node was excluded")
+    xs = [grid_xs[i] for i in columns]
+    vertices: list[tuple[float, float, float]] = []
+    try:
+        for y in domain.ys():
+            for x in xs:
+                vertices.append((x, y, value(x, y)))
+    except (IsocurvError, ArithmeticError) as err:
+        err.args = (f"{err} at (x, y) = ({x!r}, {y!r})",)
+        raise
+    # Vertex k of a row starting at vertex r is number r + k + 1; the
+    # numbers come from one list, so the triangles share their ints.
+    m = len(columns)
+    ids = list(range(1, len(vertices) + 1))
+    cells = [k for k in range(m - 1) if columns[k + 1] == columns[k] + 1]
     triangles: list[tuple[int, int, int]] = []
-    for j in range(domain.ny - 1):
-        for i in range(domain.nx - 1):
-            a = index.get((i, j))
-            b = index.get((i + 1, j))
-            c = index.get((i, j + 1))
-            d = index.get((i + 1, j + 1))
-            if a is None or b is None or c is None or d is None:
-                continue
+    for row in range(0, len(vertices) - m, m):
+        for k in cells:
+            a, b, c, d = ids[row + k], ids[row + k + 1], ids[row + m + k], ids[row + m + k + 1]
             triangles.append((a, b, c))
             triangles.append((b, d, c))
     return vertices, triangles
@@ -51,8 +56,6 @@ def write_obj(surface: Expr, domain: GridDomain, path: str) -> MeshStats:
     """Write the sampled surface as a Wavefront OBJ (no normals, no UVs)."""
     vertices, triangles = build_mesh(surface, domain)
     with open(path, "w", encoding="ascii") as fh:
-        for x, y, z in vertices:
-            fh.write(f"v {x!r} {y!r} {z!r}\n")
-        for a, b, c in triangles:
-            fh.write(f"f {a} {b} {c}\n")
+        fh.writelines(f"v {x!r} {y!r} {z!r}\n" for x, y, z in vertices)
+        fh.writelines(f"f {a} {b} {c}\n" for a, b, c in triangles)
     return MeshStats(n_vertices=len(vertices), n_triangles=len(triangles))

@@ -116,11 +116,14 @@ def test_non_finite_or_arithmetic_failure_is_refused(capsys, argv):
          "ln of non-positive value -1.0 at (x, y) = (-1.0, -1.0) in the euler residual"),
         # (c4 x + d9)^4 overflows in the contradiction scan.
         ("verify-family --spec {spec}", "relation defect overflows at sample x = -1.0"),
+        ("mesh --surface 1/x --grid 3,3 --exclusion 0 --out {out}",
+         "division by a quantity with zero value at (x, y) = (0.0, -1.0)"),
     ],
 )
 def test_non_finite_input_is_named(capsys, tmp_path, argv, message):
     spec = write_spec(tmp_path, "spec.json", dict(CASE_31, c4=1e100, d8=1.0, d9=0.5))
-    code, report, err = run_cli(capsys, *argv.format(spec=spec).split())
+    out = tmp_path / "mesh.obj"
+    code, report, err = run_cli(capsys, *argv.format(spec=spec, out=out).split())
     assert (code, report, err) == (2, None, f"error: {message}\n")
 
 

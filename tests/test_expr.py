@@ -324,7 +324,7 @@ def test_kernel_cache_is_bounded_and_keyed_by_identity():
     third = expr_module._kernel(last, 3)
     assert third is not kernel and expr_module._last == (last, 3, third)
     assert expr_module._kernel(last, 2) is not kernel
-    with pytest.raises(ValueError, match="jet order must be 2 or 3"):
+    with pytest.raises(ValueError, match="jet order must be 0, 2 or 3"):
         expr_module.compile_jet(last, 4)
 
 

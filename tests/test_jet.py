@@ -1,9 +1,11 @@
 """Jet rules through the compiled kernels: exactness on polynomials, chain
 rules, commutativity, guards, bit identity with the recorded outcomes of
-the tree-walking evaluator, and the third partials of order-3 kernels."""
+the tree-walking evaluator, the third partials of order-3 kernels and the
+values of order-0 kernels."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -18,8 +20,8 @@ from isocurv.errors import (
     IsocurvError,
     NumericOverflowError,
 )
-from isocurv.expr import Add, Div, Mul, compile_jet, eval_jet, eval_value, lift_1d, num, parse
-from isocurv.jet import Jet2
+from isocurv.expr import Add, Div, Mul, Pow, compile_jet, eval_jet, eval_value, lift_1d, num, parse
+from isocurv.jet import Jet2, Tape
 
 COMPONENTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
 THIRD = ("dxxx", "dxxy", "dxyy", "dyyy")
@@ -307,22 +309,77 @@ def test_errors_raised_only_at_order_3_name_their_cause(surface, message):
         eval_jet(parse(surface), p, 3)
 
 
-def test_order_3_kernels_extend_the_order_2_kernels_bit_for_bit():
-    """On every tenth seeded tree of the golden fixture and on every
-    hand-picked surface, at each of their points: wherever the order-3
-    kernel returns, the order-2 kernel returns its first six components."""
-    tree = kernels = None
-    checked = 0
+def _sampled_cases():
+    """(tree, point) for every tenth seeded tree of the golden fixture and
+    every hand-picked surface, at each of their eval_jet points."""
     for i, (kind, e, p) in enumerate(jet_golden.cases()):
         tree_index = i // 5  # each seeded tree has three eval_jet cases and two lift_1d
-        if kind != "eval_jet" or (tree_index < jet_golden.N_TREES and tree_index % 10):
-            continue
+        if kind == "eval_jet" and (tree_index >= jet_golden.N_TREES or tree_index % 10 == 0):
+            yield e, p
+
+
+def _outcome(fn, *args):
+    """fn(*args), or None where it raises an evaluation error."""
+    try:
+        return fn(*args)
+    except (IsocurvError, ArithmeticError, ValueError):
+        return None
+
+
+def test_order_3_kernels_extend_the_order_2_kernels_bit_for_bit():
+    """Wherever the order-3 kernel returns, the order-2 kernel returns its
+    first six components."""
+    tree = kernels = None
+    checked = 0
+    for e, p in _sampled_cases():
         if e is not tree:
             tree, kernels = e, (compile_jet(e), compile_jet(e, 3))
-        try:
-            j3 = kernels[1](*p)
-        except (IsocurvError, ArithmeticError, ValueError):
+        j3 = _outcome(kernels[1], *p)
+        if j3 is None:
             continue
         assert bits(kernels[0](*p)) == bits(j3), (e, p)
         checked += 1
     assert checked > 5000
+
+
+# -- order 0 -------------------------------------------------------------------
+
+
+def _exponents(e) -> set[float]:
+    found = {e.exponent} if isinstance(e, Pow) else set()
+    for field in dataclasses.fields(e):
+        child = getattr(e, field.name)
+        if dataclasses.is_dataclass(child):
+            found |= _exponents(child)
+    return found
+
+
+def test_value_kernels_return_the_jet_value_bit_for_bit():
+    """Wherever the order-2 kernel returns, the order-0 kernel returns its
+    value. Wherever eval_value returns, so does the order-0 kernel, with
+    the same bits when every integer exponent is -1, 0 or 1: squaring and
+    multiplying may round otherwise than float **."""
+    tree = None
+    checked = plain_checked = 0
+    for e, p in _sampled_cases():
+        if e is not tree:
+            tree, value, jet = e, compile_jet(e, 0), compile_jet(e)
+            plain = all(r in (-1.0, 0.0, 1.0) or not r.is_integer() for r in _exponents(e))
+        v = _outcome(value, *p)
+        j = _outcome(jet, *p)
+        if j is not None:
+            assert v is not None and v.hex() == j.v.hex(), (e, p)
+            checked += 1
+        w = _outcome(eval_value, e, p)
+        if w is not None:
+            assert v is not None, (e, p)
+            if plain:
+                assert v.hex() == w.hex(), (e, p)
+                plain_checked += 1
+    assert checked > 5000 and plain_checked > 1000
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_other_orders_are_refused(order):
+    with pytest.raises(ValueError, match=f"jet order must be 0, 2 or 3, not {order}"):
+        Tape(order)

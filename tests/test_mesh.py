@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from isocurv import (
@@ -98,3 +100,34 @@ def test_obj_indices_stay_in_range(tmp_path):
     for tri in triangles:
         assert all(1 <= vid <= n for vid in tri)
         assert len(set(tri)) == 3
+
+
+def test_value_kernel_meshes_where_the_derivatives_overflow():
+    # At x = 5e-324 sqrt's value is finite but its second derivative is not.
+    domain = GridDomain(x_min=5e-324, x_max=1.0, y_min=0.0, y_max=1.0, nx=3, ny=2)
+    vertices, triangles = build_mesh(parse("sqrt(x)"), domain)
+    assert len(vertices) == 6 and len(triangles) == 4
+    assert vertices[0] == (5e-324, 0.0, math.sqrt(5e-324))
+
+
+# No integer power: z is then bit for bit what eval_value gives.
+_MIXED = parse("exp(0.3*x)*sin(y)+ln(2+x*x)/sqrt(3+y*y)")
+_GAP = GridDomain(nx=9, ny=4, exclusion_radius=0.2, singular_loci=(VerticalLine(0.1),))
+
+
+def test_obj_lines_match_build_mesh(tmp_path):
+    vertices, triangles = build_mesh(_MIXED, _GAP)
+    path = tmp_path / "gap.obj"
+    stats = write_obj(_MIXED, _GAP, str(path))
+    assert stats == MeshStats(n_vertices=len(vertices), n_triangles=len(triangles))
+    assert (len(vertices), len(triangles)) == (28, 30)
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert lines == [f"v {x!r} {y!r} {z!r}" for x, y, z in vertices] + [
+        f"f {a} {b} {c}" for a, b, c in triangles
+    ]
+
+
+def test_heights_without_integer_powers_equal_eval_value():
+    vertices, _ = build_mesh(_MIXED, _GAP)
+    for x, y, z in vertices:
+        assert z.hex() == eval_value(_MIXED, (x, y)).hex()
