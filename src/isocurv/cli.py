@@ -17,12 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from typing import Callable, Optional
 
 from . import __getattr__ as _package_name
 from .domain import DEFAULT_EXCLUSION_RADIUS, GridDomain, VerticalLine
-from .errors import IsocurvError
+from .errors import IsocurvError, asdict
 
 
 def __getattr__(name: str):

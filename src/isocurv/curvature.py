@@ -8,12 +8,11 @@ Laplacian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import record
 from .jet import Jet2
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CurvaturePair:
     K: float
     H: float

@@ -2,23 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import require_finite
+from .errors import record, require_finite
 
 DEFAULT_EXCLUSION_RADIUS = 1e-2
 # Bounds the work and memory of one grid: scans and meshes visit every node.
 _MAX_NODES = 10_000_000
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VerticalLine:
     """Locus x = value, independent of y."""
 
     x: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GridDomain:
     """Uniform nx-by-ny grid over [x_min, x_max] x [y_min, y_max].
 
@@ -33,7 +31,7 @@ class GridDomain:
     nx: int = 101
     ny: int = 101
     exclusion_radius: float = 0.0
-    singular_loci: tuple[VerticalLine, ...] = field(default=())
+    singular_loci: tuple[VerticalLine, ...] = ()
 
     def __post_init__(self):
         require_finite(self, "x_min", "x_max", "y_min", "y_max", "exclusion_radius")

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Union
 
 from . import jet as jetmath
@@ -42,76 +41,77 @@ from .errors import (
     NumericOverflowError,
     ParseError,
     UnknownIdentifierError,
+    record,
 )
 from .jet import Jet1, Jet2
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Const:
     value: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Neg:
     arg: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Add:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Sub:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Mul:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Div:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Pow:
     base: "Expr"
     exponent: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Exp:
     arg: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Ln:
     arg: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Sin:
     arg: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Cos:
     arg: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Sqrt:
     arg: "Expr"
 
@@ -135,7 +135,7 @@ _NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class _Token:
     kind: str  # "num", "ident", one of "+-*/^()", or "end"
     text: str
@@ -222,6 +222,8 @@ class _Parser:
         if self.peek().kind == "^":
             caret = self.advance()
             exponent = self.parse_exponent(caret.offset)
+            if not math.isfinite(exponent):
+                raise ParseError("exponent does not fold to a real constant", caret.offset)
             return Pow(base, exponent)
         return base
 

@@ -17,7 +17,6 @@ class name and the numeric fields of that class, nothing else.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from typing import Optional, Union, get_args
 
 from .curvature import curvatures
@@ -28,13 +27,16 @@ from .errors import (
     NoConstantPredictionError,
     NumericOverflowError,
     SingularPointError,
+    asdict,
+    record,
+    replace,
     require_nonzero,
 )
 from .expr import Add, Const, Div, Expr, Mul, Neg, Pow, Sub, Var, eval_jet, num
 from .weingarten import LWParams, ResidualReport, scan_grid, summarize
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CaseA:
     """Constant factor times quadratic factor: z = f0 * g(y) with
     g(y) = n0/(f0*m0) * y^2 + d1*y + d2. Flat, constant mean curvature."""
@@ -49,7 +51,7 @@ class CaseA:
         require_nonzero(self, "f0", "m0")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CaseB:
     """Mirror of CaseA: z = f(x) * g0 with
     f(x) = n0/(g0*m0) * x^2 + d3*x + d4."""
@@ -64,7 +66,7 @@ class CaseB:
         require_nonzero(self, "g0", "m0")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CaseC:
     """Product of linear factors: z = (c8*x + d15)(c9*y + d16). Minimal
     (H = 0) with constant negative K."""
@@ -78,7 +80,7 @@ class CaseC:
         require_nonzero(self, "c8", "c9")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ParabolicSphere:
     """z = c3*(x^2 + y^2) + d8*x + d9*y + d10; constant K = 4 c3^2 and
     H = 2 c3, so K = H^2."""
@@ -92,7 +94,7 @@ class ParabolicSphere:
         require_nonzero(self, "c3")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NonIsotropicPlane:
     """z = p*x + q*y + r; both curvatures vanish."""
 
@@ -101,7 +103,7 @@ class NonIsotropicPlane:
     r: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Case31Candidate:
     """Negative control: z = f(x) g(y) with f(x) = -(1/(c4*x + d9) + m0/(2*c3))
     and g(y) = c3*y^2 + d7*y + d8. Singular along the vertical line
@@ -123,7 +125,7 @@ FamilySpec = Union[
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FamilyPrediction:
     """Constant invariants a family should exhibit, plus (when one exists)
     a linear Weingarten triple the surface satisfies identically."""
@@ -331,7 +333,7 @@ def spec_from_dict(data: object) -> FamilySpec:
     cls = _KINDS.get(kind)
     if cls is None:
         raise InvalidSpecError(f"unknown family kind {kind!r}")
-    expected = {f.name for f in dataclass_fields(cls)}
+    expected = set(cls.__match_args__)
     given = set(data) - {"kind"}
     if given != expected:
         missing = sorted(expected - given)

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-
 from . import errors
+from .errors import record
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Jet2:
     """Value and partials up to order two of z(x, y) at a point."""
 
@@ -41,7 +40,7 @@ class Jet2:
     dyy: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Jet3(Jet2):
     """Value and partials up to order three of z(x, y) at a point."""
 
@@ -51,7 +50,7 @@ class Jet3(Jet2):
     dyyy: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Jet1:
     """Value and two derivatives of a univariate function at a point, as
     lift_1d returns them."""

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .domain import GridDomain
-from .errors import EmptyDomainError, IsocurvError
+from .errors import EmptyDomainError, IsocurvError, record
 from .expr import Expr, compile_jet
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MeshStats:
     n_vertices: int
     n_triangles: int

@@ -21,7 +21,6 @@ nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import (
@@ -29,6 +28,7 @@ from .errors import (
     InvalidSpecError,
     SingularPointError,
     StepTooLargeError,
+    record,
     require_finite,
 )
 
@@ -40,7 +40,7 @@ LOCAL_ERROR_LIMIT = 1e-3
 _MAX_STEPS = 10_000_000
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ShiftedReciprocalODE:
     c3: float
     m0: float
@@ -56,7 +56,7 @@ class ShiftedReciprocalODE:
         return 2.0 * fp * fp
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SaturatedLinearODE:
     c5: float
     d10: float
@@ -75,7 +75,7 @@ class SaturatedLinearODE:
 OdeKind = Union[ShiftedReciprocalODE, SaturatedLinearODE]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class IVP:
     """Initial value problem for f'' = numerator/denominator, advanced from
     (t0, f(t0), f'(t0)) to t_end with the given nominal step."""

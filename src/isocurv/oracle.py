@@ -8,14 +8,12 @@ eval_jet cross-validates both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import require_finite
+from .errors import record, require_finite
 from .expr import Expr, eval_value
 from .jet import Jet2
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FDConfig:
     """Stencil steps. First- and second-order stencils carry separate
     defaults because roundoff cancellation grows with derivative order."""
@@ -75,14 +73,15 @@ def fd_jet(s: Expr, p: tuple[float, float], cfg: FDConfig = FDConfig()) -> Jet2:
 _COMPONENTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class JetComparison:
     """Per-component |a - b| deviations; a component is flagged when its
     deviation exceeds tol_rel * (1 + |a|)."""
 
-    deviations: dict = field(compare=False)
+    deviations: dict
     flagged: tuple[str, ...] = ()
     tol_rel: float = 0.0
+    _uncompared = ("deviations",)
 
     def ok(self) -> bool:
         return not self.flagged

@@ -17,7 +17,6 @@ scan machinery:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .curvature import CurvaturePair, curvatures
@@ -27,13 +26,15 @@ from .errors import (
     EmptyDomainError,
     IsocurvError,
     NumericOverflowError,
+    asdict,
+    record,
     require_finite,
 )
 from .expr import Expr, eval_jet
 from .jet import Jet2
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LWParams:
     """Coefficients of a H + b K = c."""
 
@@ -47,7 +48,7 @@ class LWParams:
             raise ValueError("coefficients must not all be zero")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NormalizedLW:
     """Relation in the reduced form 2 m0 H + K = n0."""
 
@@ -110,7 +111,7 @@ def jacobian_residual_fn() -> ResidualFn:
     return jacobian
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ResidualReport:
     n_samples: int
     max_abs: float

@@ -77,6 +77,14 @@ def test_eval_parse_error(capsys):
     assert "(offset 4)" in err
 
 
+@pytest.mark.parametrize("surface, offset", [("x^1e999", 1), ("y+x^-1e999", 3)])
+def test_eval_refuses_an_infinite_exponent(capsys, surface, offset):
+    code, report, err = run_cli(capsys, "eval", "--surface", surface, "--at", "1,1")
+    assert code == 2
+    assert report is None
+    assert err == f"error: exponent does not fold to a real constant (offset {offset})\n"
+
+
 def test_eval_singularity_is_an_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--surface", "1/x", "--at", "0,0")
     assert code == 2

@@ -1,6 +1,5 @@
 """Parser, printer, and evaluator tests for the expression language."""
 
-import dataclasses
 import math
 import random
 
@@ -18,6 +17,7 @@ from isocurv import (
     DivisionByZeroError,
     EvaluationDomainError,
     Exp,
+    Expr,
     IsocurvError,
     Ln,
     MixedVariableError,
@@ -363,10 +363,10 @@ def _single_variable(e, name):
         return Var(name)
     return type(e)(
         *(
-            _single_variable(getattr(e, f.name), name)
-            if dataclasses.is_dataclass(getattr(e, f.name))
-            else getattr(e, f.name)
-            for f in dataclasses.fields(e)
+            _single_variable(getattr(e, f), name)
+            if isinstance(getattr(e, f), Expr)
+            else getattr(e, f)
+            for f in e.__match_args__
         )
     )
 

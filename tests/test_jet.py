@@ -5,7 +5,6 @@ values of order-0 kernels."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -20,7 +19,7 @@ from isocurv.errors import (
     IsocurvError,
     NumericOverflowError,
 )
-from isocurv.expr import Add, Div, Mul, Pow, compile_jet, eval_jet, eval_value, lift_1d, num, parse
+from isocurv.expr import Add, Div, Expr, Mul, Pow, compile_jet, eval_jet, eval_value, lift_1d, num, parse
 from isocurv.jet import Jet2, Tape
 
 COMPONENTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
@@ -347,9 +346,9 @@ def test_order_3_kernels_extend_the_order_2_kernels_bit_for_bit():
 
 def _exponents(e) -> set[float]:
     found = {e.exponent} if isinstance(e, Pow) else set()
-    for field in dataclasses.fields(e):
-        child = getattr(e, field.name)
-        if dataclasses.is_dataclass(child):
+    for field in e.__match_args__:
+        child = getattr(e, field)
+        if isinstance(child, Expr):
             found |= _exponents(child)
     return found
 

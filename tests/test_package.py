@@ -139,3 +139,23 @@ def test_mesh_from_a_surface_loads_no_families(tmp_path):
     loaded = loaded_modules(run_module(argv))
     assert "isocurv.mesh" in loaded
     assert "isocurv.families" not in loaded
+
+
+def test_no_module_or_subcommand_loads_dataclasses(tmp_path):
+    """The records are built without dataclasses, whose import costs every
+    process start-up: no submodule and no subcommand run loads it."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind": "CaseC", "c8": 1, "d15": 0, "c9": 1, "d16": 0}')
+    runs = [
+        "eval --surface x*y --at 1,2",
+        "scan --surface x^2+y^2 --residual euler --grid 2,2",
+        f"verify-family --spec {spec} --grid 3,3",
+        "ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1 --step 0.1",
+        f"mesh --surface x*y --grid 2,2 --out {tmp_path / 'm.obj'}",
+    ]
+    check = "\nassert 'dataclasses' not in sys.modules, {!r}\n"
+    code = "".join(f"import isocurv.{m}\n" for m in ROOT_NAMES) + "import isocurv.cli\n"
+    code += check.format("import")
+    for argv in runs:
+        code += run_module(argv.split()) + check.format(argv)
+    assert "isocurv.mesh" in loaded_modules(code)
