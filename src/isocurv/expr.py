@@ -431,7 +431,8 @@ def _emit(t: jetmath.Tape, e: Expr, x: jetmath.Src, y: jetmath.Src) -> jetmath.S
     match e:
         case Const(value=v):
             # repr round-trips a finite float exactly; float() takes inf and nan.
-            return t.seed(repr(v) if math.isfinite(v) else f"float('{v}')")
+            # A local, not a literal, so that only the seeds' zeros and ones fold.
+            return t.seed(t.let(repr(v) if math.isfinite(v) else f"float('{v}')"))
         case Var(name=name):
             return x if name == "x" else y
         case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) | Div(left=l, right=r):
@@ -461,8 +462,8 @@ _JET_RULES = {
 def compile_jet(e: Expr, order: int = 2):
     """Compile e once into kernel(x, y) -> Jet2, or Jet3 at order 3, or the
     value as a float at order 0: straight-line statements that compute its
-    jet of that order at (x, y), bit for bit as one jet operation at a time
-    would, raising the same errors."""
+    jet of that order at (x, y), bit for bit but for the sign of a zero as
+    one jet operation at a time would, raising the same errors."""
     t = jetmath.Tape(order)
     return t.function(_emit(t, e, t.seed("x", dx="1.0"), t.seed("y", dy="1.0")))
 

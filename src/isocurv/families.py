@@ -17,6 +17,7 @@ class name and the numeric fields of that class, nothing else.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Union, get_args
 
 from .curvature import curvatures
@@ -216,29 +217,34 @@ def predict(spec: FamilySpec) -> Optional[FamilyPrediction]:
     m0*H + K = n0 identically; that triple is returned so callers can check
     the relation in normalized form. CaseC is minimal with constant K, and
     any mean-curvature coefficient paired with n0 = K fits, so no single
-    triple is singled out.
+    triple is singled out. A constant that overflows raises
+    NumericOverflowError.
     """
     match spec:
         case CaseA(m0=m0, n0=n0) | CaseB(m0=m0, n0=n0):
-            return FamilyPrediction(
+            prediction = FamilyPrediction(
                 K_expected=0.0,
                 H_expected=n0 / m0,
                 lw=LWParams(a=m0, b=1.0, c=n0),
             )
         case CaseC(c8=c8, c9=c9):
-            return FamilyPrediction(
+            prediction = FamilyPrediction(
                 K_expected=-((c8 * c9) ** 2), H_expected=0.0, lw=None
             )
         case ParabolicSphere(c3=c3):
-            return FamilyPrediction(
+            prediction = FamilyPrediction(
                 K_expected=4.0 * c3 * c3, H_expected=2.0 * c3, lw=None
             )
         case NonIsotropicPlane():
-            return FamilyPrediction(K_expected=0.0, H_expected=0.0, lw=None)
+            prediction = FamilyPrediction(K_expected=0.0, H_expected=0.0, lw=None)
         case Case31Candidate():
             return None
         case _:
             raise InvalidSpecError(f"not a family spec: {spec!r}")
+    for name, value in (("K", prediction.K_expected), ("H", prediction.H_expected)):
+        if not math.isfinite(value):
+            raise NumericOverflowError(f"predicted {name} = {value!r} of {type(spec).__name__} overflows")
+    return prediction
 
 
 def verify_family(spec: FamilySpec, domain: Optional[GridDomain] = None) -> ResidualReport:
@@ -265,12 +271,10 @@ def verify_family(spec: FamilySpec, domain: Optional[GridDomain] = None) -> Resi
 
     def deviation(s: Expr, x: float, y: float) -> float:
         pair = curvatures(eval_jet(s, (x, y)))
-        dev = 0.0
-        if k_exp is not None:
-            dev = max(dev, abs(pair.K - k_exp))
-        if h_exp is not None:
-            dev = max(dev, abs(pair.H - h_exp))
-        return dev
+        dk = abs(pair.K - k_exp) if k_exp is not None else 0.0
+        dh = abs(pair.H - h_exp) if h_exp is not None else 0.0
+        # max(dk, dh) would drop a NaN dh; summarize refuses a NaN by its node.
+        return dh if dh > dk or dh != dh else dk
 
     return scan_grid(surface, domain, deviation)
 

@@ -12,12 +12,13 @@ through the rules. mul (Leibniz), div (the quotient recurrence) and chain
 (Faa di Bruno) state their formula once for every order (Griewank &
 Walther, Evaluating Derivatives, 2nd ed., ch. 13), and a scalar map lists
 its derivatives up to the third for chain to emit only what the order
-needs. Each rule keeps the operation order of its formula, so a kernel
-computes bit for bit what one jet operation at a time would, and where a
-kernel returns, the kernels of lower orders return the same components.
-Each product term is grouped with its mirror, so a * b and b * a produce
-identical jets (IEEE addition and multiplication are commutative; only
-re-association changes rounding).
+needs. The rules fold the seeds' literal zeros and ones (ibid., ch. 6)
+and keep the operation order of the rest, so a kernel computes bit for
+bit, but for the sign of a zero, what one jet operation at a time would,
+and where a kernel returns, the kernels of lower orders return the same
+components. Each product term is grouped with its mirror, so a * b and
+b * a produce identical jets (IEEE addition and multiplication are
+commutative; only re-association changes rounding).
 """
 
 from __future__ import annotations
@@ -90,38 +91,52 @@ def _faa_di_bruno(i: int, j: int) -> dict:
 
 
 @functools.cache
-def _rules(order: int) -> dict[str, list[str]]:
-    """The component templates of mul, div and chain at an order, for
-    str.format: with n components, fields 0 to n - 1 are the first
-    operand's atoms, n to 2n - 1 the second's (for chain, the scalar map's
-    value and derivatives), and 2n on the quotient's components so far."""
+def _rules(order: int) -> dict[str, list]:
+    """The components of add, mul, div and chain at an order as terms for
+    _fold over positions: with n components, 0 to n - 1 for the first
+    operand, n to 2n - 1 for the second (for chain, the scalar map's value
+    and derivatives), 2n on for the quotient so far. A div component (k,
+    terms) is a_k less each term, over b_0; coefficients are literals."""
     idx = _INDICES[: (order + 1) * (order + 2) // 2]
-    n = len(idx)
-    a, b, q = ({K: "{%d}" % (s + k) for k, K in enumerate(idx)} for s in (0, n, 2 * n))
-    rules: dict[str, list[str]] = {"mul": [], "div": [], "chain": []}
+    n, at = len(idx), idx.index
+    rules = {"add": [[k, n + k] for k in range(n)], "mul": [], "div": [], "chain": []}
     for i, j in idx:
         # (C(i, k) C(j, l), K, M) over K + M = (i, j), K = (k, l) descending.
         splits = [(math.comb(i, k) * math.comb(j, l), (k, l), (i - k, j - l))
                   for k in range(i, -1, -1) for l in range(j, -1, -1)]
-        pairs = [(c, K, M) for c, K, M in splits if K >= M]
-        terms = []
-        for c, K, M in pairs:
-            s = f"{a[K]} * {b[M]}" if K == M else f"{a[K]} * {b[M]} + {a[M]} * {b[K]}"
-            terms.append(f"{c}.0 * ({s})" if c > 1 else f"({s})" if len(pairs) > 1 else s)
-        rules["mul"].append(" + ".join(terms))
-        rest = "".join(f" - {'' if c == 1 else f'{c}.0 * '}{q[K]} * {b[M]}" for c, K, M in splits[1:])
-        rules["div"].append(f"({a[i, j]}{rest}) / {b[0, 0]}")
-        sums: dict[int, list[str]] = {}
+        rules["mul"].append([(f"{c}.0", [(at(K), n + at(M)), (at(M), n + at(K))][: 1 + (K > M)])
+                             for c, K, M in splits if K >= M])
+        rules["div"].append((at((i, j)), [(f"{c}.0", 2 * n + at(K), n + at(M)) for c, K, M in splits[1:]]))
+        sums: dict = {}
         for (m, ks), c in sorted(_faa_di_bruno(i, j).items()):
-            p = " * ".join(a[K] for K in ks)
-            sums.setdefault(m, []).append(p if c == 1 else f"{c}.0 * ({p})")
-        f = ["{%d}" % (n + m) for m in range(order + 1)]
-        terms = []
-        for m, s in sums.items():
-            g = " + ".join(s)
-            terms.append(f[m] if m == 0 else f"{f[m]} * {g}" if " " not in g else f"{f[m]} * ({g})")
-        rules["chain"].append(" + ".join(terms))
+            sums.setdefault(n + m, []).append((f"{c}.0", tuple(map(at, ks))))
+        rules["chain"].append(list(sums.items()))
     return rules
+
+
+def _fold(term, atoms) -> str:
+    """The source of a rule's term, a product (tuple) or sum (list) of terms,
+    literals and positions k in atoms (None for {k}), left to right. A 0.0
+    factor voids a product, 1.0 factors and 0.0 terms drop, and parentheses
+    stay, so no value but a zero's sign can change."""
+    product = type(term) is tuple
+    unit, parts = ("1.0" if product else "0.0"), []
+    for p in term:
+        p = p if type(p) is str else atoms[p] or f"{{{p}}}" if type(p) is int else _fold(p, atoms)
+        if product and p == "0.0":
+            return "0.0"
+        if p != unit:
+            parts.append(p)
+    if len(parts) == 1:
+        return parts[0]
+    return (" * " if product else " + ").join(f"({p})" if " " in p else p for p in parts) or unit
+
+
+@functools.cache
+def _templates(order: int, op: str, mask: tuple) -> list[str]:
+    """add, mul or chain at an order as str.format templates, folded for
+    the structural 0.0 and 1.0 atoms that mask holds."""
+    return [_fold(term, mask) for term in _rules(order)[op]]
 
 
 class Tape:
@@ -132,7 +147,6 @@ class Tape:
         if order not in (0, 2, 3):
             raise ValueError(f"jet order must be 0, 2 or 3, not {order!r}")
         self.order, self.size = order, (order + 1) * (order + 2) // 2
-        self.rules = _rules(order)
         self.lines: list[str] = []
 
     def let(self, source: str) -> str:
@@ -143,6 +157,12 @@ class Tape:
     def jet(self, *components: str) -> Src:
         """Bind each component that is not a name, 0.0 or 1.0 to a new local."""
         return tuple(c if c.isidentifier() or c in ("0.0", "1.0") else self.let(c) for c in components)
+
+    def fold(self, op: str, atoms: Src) -> Src:
+        """op over its operands' atoms, by templates cached per mask."""
+        literal = "0.0" in atoms or "1.0" in atoms
+        mask = tuple(map({"0.0": "0.0", "1.0": "1.0"}.get, atoms)) if literal else (None,) * len(atoms)
+        return self.jet(*(s.format(*atoms) for s in _templates(self.order, op, mask)))
 
     def seed(self, value: str, dx: str = "0.0", dy: str = "0.0") -> Src:
         """The jet with the given value and first partials, and zero above."""
@@ -165,49 +185,55 @@ class Tape:
     def function(self, result: Src):
         """Compile into kernel(x, y) -> Jet2 or Jet3, or the bare float at
         order 0, refusing a non-finite result."""
-        finite = " or ".join(f"not isfinite({c})" for c in result)
-        self.guard(f"if {finite}", "NumericOverflowError", "jet evaluation produced a non-finite value")
+        finite = " or ".join(f"not isfinite({c})" for c in result if c.isidentifier())
+        if finite:
+            self.guard(f"if {finite}", "NumericOverflowError", "jet evaluation produced a non-finite value")
         self.lines.append(f"return Jet{self.order}({', '.join(result)})" if self.order else f"return {result[0]}")
-        body = "".join(f"\n    {line}" for entry in self.lines for line in entry.split("\n"))
+        body = "\n".join(self.lines).replace("\n", "\n    ")
         namespace = dict(_NAMESPACE)
-        exec(compile(f"def kernel(x, y):{body}", "<jet kernel>", "exec"), namespace)
+        exec(compile(f"def kernel(x, y):\n    {body}", "<jet kernel>", "exec"), namespace)
         return namespace["kernel"]
 
 
 def add(t: Tape, a: Src, b: Src) -> Src:
-    return t.jet(*(f"{p} + {q}" for p, q in zip(a, b)))
+    return t.fold("add", a + b)
 
 
 def sub(t: Tape, a: Src, b: Src) -> Src:
-    return t.jet(*(f"{p} - {q}" for p, q in zip(a, b)))
+    return t.jet(*(p if q == "0.0" else f"{p} - {q}" for p, q in zip(a, b)))
 
 
 def neg(t: Tape, a: Src) -> Src:
-    return t.jet(*(f"-{p}" for p in a))
+    return t.jet(*(p if p == "0.0" else f"-{p}" for p in a))
 
 
 def mul(t: Tape, a: Src, b: Src) -> Src:
     # Each component is a sum of products that maps onto itself under
     # operand swap, which is what makes the product commute exactly.
-    return t.jet(*(s.format(*a, *b) for s in t.rules["mul"]))
+    return t.fold("mul", a + b)
 
 
 def div(t: Tape, a: Src, b: Src) -> Src:
     t.guard(f"if {b[0]} == 0.0", "DivisionByZeroError", "division by a quantity with zero value")
-    q: list[str] = []
-    for s in t.rules["div"]:
-        q.append(t.let(s.format(*a, *b, *q)))
-    return tuple(q)
+    q = ()
+    for k, terms in _rules(t.order)["div"]:
+        top = a[k]
+        for s in terms:
+            s = _fold(s, a + b + q)
+            if s != "0.0":
+                top += f" - {s}"
+        q += t.jet("0.0" if top == "0.0" else f"({top}) / {b[0]}")
+    return q
 
 
 def chain(t: Tape, j: Src, *derivatives: str) -> Src:
     """Compose with a scalar map given its value and its derivatives up to
     the third, as sources at the value of j in which {k} stands for the
     k-th of them; only those up to the tape's order are emitted."""
-    f: list[str] = []
+    f = ()
     for d in derivatives[: t.order + 1]:
         f += t.jet(d.format(*f))
-    return t.jet(*(s.format(*j, *f) for s in t.rules["chain"]))
+    return t.fold("chain", j + f)
 
 
 def exp(t: Tape, j: Src) -> Src:

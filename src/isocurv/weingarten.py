@@ -17,7 +17,7 @@ scan machinery:
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 from .curvature import CurvaturePair, curvatures
 from .domain import GridDomain
@@ -123,26 +123,26 @@ class ResidualReport:
         return {**asdict(self), "worst_point": list(self.worst_point)}
 
 
-def summarize(values: list[float], points: list[tuple[float, float]]) -> ResidualReport:
+def summarize(values: Sequence[float], points) -> ResidualReport:
     """Statistics of raw residual values; std_dev is the population deviation
     of the signed values, worst_point the first location of max |r|.
-    A NaN or infinite value raises NumericOverflowError naming its point."""
+    A NaN or infinite value raises NumericOverflowError naming its point;
+    points is read by index only, there and at the worst value."""
     if not values:
         raise EmptyDomainError("no samples survived exclusion")
     n = len(values)
     sum_abs = 0.0
     max_abs = -1.0
-    worst = points[0]
-    for r, pt in zip(values, points):
+    worst = 0
+    for i, r in enumerate(values):
         sum_abs += abs(r)
         if abs(r) > max_abs:
-            max_abs = abs(r)
-            worst = pt
+            max_abs, worst = abs(r), i
     # A NaN or infinity makes the sum non-finite, so one test covers them all.
     if not math.isfinite(sum_abs):
-        for r, pt in zip(values, points):
+        for i, r in enumerate(values):
             if not math.isfinite(r):
-                raise NumericOverflowError(f"non-finite residual {r!r} at (x, y) = {pt!r}")
+                raise NumericOverflowError(f"non-finite residual {r!r} at (x, y) = {points[i]!r}")
     # Two correctly rounded passes over the values shifted by the first
     # one: a constant input gives exactly zero, not a rounding residue.
     shift = values[0]
@@ -153,26 +153,35 @@ def summarize(values: list[float], points: list[tuple[float, float]]) -> Residua
         max_abs=max_abs,
         mean_abs=sum_abs / n,
         std_dev=math.sqrt(variance),
-        worst_point=worst,
+        worst_point=points[worst],
     )
 
 
+class _Nodes:
+    """The (x, y) of scan node k, row by row in y over the kept columns xs."""
+
+    def __init__(self, xs: list[float], ys: list[float]) -> None:
+        self.xs, self.ys = xs, ys
+
+    def __getitem__(self, k: int) -> tuple[float, float]:
+        return self.xs[k % len(self.xs)], self.ys[k // len(self.xs)]
+
+
 def scan_grid(surface: Expr, domain: GridDomain, residual: ResidualFn) -> ResidualReport:
-    """Evaluate a residual on every included grid node, row by row in y.
-    An error at a node is re-raised with the node and the residual named."""
-    values: list[float] = []
-    points: list[tuple[float, float]] = []
-    xs = domain.xs()
+    """Evaluate a residual on every included grid node, row by row in y, into
+    one float each. An error at a node is re-raised naming it and the residual."""
+    from array import array  # an extension module: eval need not load it
+    # Every locus is a vertical line, so a column is kept or dropped whole.
+    xs = [x for x in domain.xs() if domain.included(x, domain.y_min)]
+    ys = domain.ys()
+    values = array("d")
     try:
-        for y in domain.ys():
+        for y in ys:
             for x in xs:
-                if not domain.included(x, y):
-                    continue
                 values.append(residual(surface, x, y))
-                points.append((x, y))
     except (IsocurvError, ArithmeticError) as err:
         kind = getattr(residual, "__name__", type(residual).__name__)
         where = f"at (x, y) = ({x!r}, {y!r}) in the {kind} residual"
         err.args = (f"{err} {where}",)
         raise
-    return summarize(values, points)
+    return summarize(values, _Nodes(xs, ys))

@@ -17,9 +17,14 @@ NumericOverflowError).
 
 Run `PYTHONPATH=src python tests/jet_golden.py` to rewrite
 tests/data/jet_golden.json from the current evaluators. The checked-in file
-was written on x86-64 Linux (glibc 2.36 libm) from the tree-walking evaluator
-that the compiled kernels replaced; rewrite it only for a deliberate change
-of results. The digests hold the roundings of that libm's exp, log, sin,
+was written on x86-64 Linux (glibc 2.36 libm) by kernels that fold
+structural zeros. They agree with the tree-walking evaluator that they
+replaced, except that a partial that is zero by structure is +0.0 where the
+tree walk could give -0.0; 12,549 of the outcomes differ from it in that
+way, and in no other. Rewrite the file only for a deliberate change of
+results, after a case-by-case comparison of the old and new outcomes: the
+sign of a zero is not part of the contract, any other change is. The
+digests hold the roundings of that libm's exp, log, sin,
 cos and pow, so the fixture also keeps libm_digest(), a digest of those
 functions on fixed arguments: a host whose libm rounds differently fails
 on that first, not as a list of changed blocks.

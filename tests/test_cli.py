@@ -63,6 +63,13 @@ def test_eval_report(capsys):
     assert report["pass"] is None
 
 
+def test_eval_prints_structural_zeros_unsigned(capsys):
+    # One jet operation at a time gives -0.0 here; the folded kernel +0.0.
+    main(["eval", "--surface=-(x+y)", "--at=0.5,0.25"])
+    jet = json.loads(capsys.readouterr().out)["result"]["jet"]
+    assert [str(jet[k]) for k in ("dxx", "dxy", "dyy")] == ["0.0", "0.0", "0.0"]
+
+
 def test_eval_normalizes_surface_text(capsys):
     code, report, _ = run_cli(capsys, "eval", "--surface", " x + (y) ", "--at", "0,0")
     assert code == 0
@@ -401,6 +408,15 @@ def test_verify_family_missing_file(capsys, tmp_path):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_verify_family_refuses_an_overflowing_prediction(capsys, tmp_path):
+    # K = 4 c3^2 overflows; the scan once passed with max_abs 0.0 (inf - inf
+    # is NaN, and max(0.0, nan) is 0.0), then json refused the report.
+    spec = {"kind": "ParabolicSphere", "c3": 1e200, "d8": 0.0, "d9": 0.0, "d10": 0.0}
+    spec_path = write_spec(tmp_path, "sphere.json", spec)
+    code, report, err = run_cli(capsys, "verify-family", "--spec", spec_path, "--grid", "3,3")
+    assert (code, report, err) == (2, None, "error: predicted K = inf of ParabolicSphere overflows\n")
 
 
 # -- ode ----------------------------------------------------------------------------

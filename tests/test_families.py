@@ -4,6 +4,9 @@ import math
 
 import pytest
 
+from isocurv import families
+from isocurv.curvature import CurvaturePair
+
 from isocurv import (
     Case31Candidate,
     CaseA,
@@ -15,6 +18,7 @@ from isocurv import (
     LWParams,
     NoConstantPredictionError,
     NonIsotropicPlane,
+    NumericOverflowError,
     ParabolicSphere,
     SingularPointError,
     VerticalLine,
@@ -165,6 +169,31 @@ def test_verify_family_constant_families_are_exact():
         report = verify_family(spec, SMALL)
         assert report.max_abs == 0.0
         assert report.n_samples == 121
+
+
+def test_an_overflowing_prediction_is_refused():
+    # K = 4 c3^2 is inf, and so is the sampled K: inf - inf would be NaN.
+    spec = ParabolicSphere(1e200, 0.0, 0.0, 0.0)
+    with pytest.raises(NumericOverflowError, match=r"predicted K = inf of ParabolicSphere overflows"):
+        predict(spec)
+    with pytest.raises(NumericOverflowError, match="predicted K = inf"):
+        verify_family(spec, GridDomain(nx=3, ny=3))
+    with pytest.raises(NumericOverflowError, match="predicted H = inf"):
+        predict(CaseA(f0=1.0, m0=1e-300, n0=1e300, d1=0.0, d2=0.0))
+
+
+@pytest.mark.parametrize("field", ["K", "H"])
+def test_a_nan_deviation_is_refused_at_its_node(monkeypatch, field):
+    # max(0.0, nan) is 0.0: a NaN in either invariant once passed as exact.
+    def nan_at_the_centre(j):
+        pair = curvatures(j)
+        if j.v != 1.0:  # z = 0.5 (x^2 + y^2) + 1 is 1 only at (0, 0)
+            return pair
+        return CurvaturePair(**{"K": pair.K, "H": pair.H, field: math.nan})
+
+    monkeypatch.setattr(families, "curvatures", nan_at_the_centre)
+    with pytest.raises(NumericOverflowError, match=r"non-finite residual nan at \(x, y\) = \(0.0, 0.0\)"):
+        verify_family(ParabolicSphere(0.5, 0.0, 0.0, 1.0), GridDomain(nx=3, ny=3))
 
 
 def test_verify_family_rejects_candidate_kind():

@@ -19,7 +19,7 @@ from isocurv.errors import (
     IsocurvError,
     NumericOverflowError,
 )
-from isocurv.expr import Add, Div, Expr, Mul, Pow, compile_jet, eval_jet, eval_value, lift_1d, num, parse
+from isocurv.expr import Add, Div, Expr, Mul, Pow, _emit, compile_jet, eval_jet, eval_value, lift_1d, num, parse
 from isocurv.jet import Jet2, Tape
 
 COMPONENTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
@@ -245,6 +245,51 @@ def test_outcomes_match_the_tree_walk_bit_for_bit():
     assert (n, errors, len(blocks)) == (golden["cases"], golden["errors"], len(golden["digests"]))
     changed = [i for i, (got, want) in enumerate(zip(blocks, golden["digests"])) if got != want]
     assert not changed, f"blocks of {golden['block']} cases that changed: {changed}"
+
+
+# -- folding -------------------------------------------------------------------
+
+MIXED = "exp(0.3*x)*sin(y)+ln(2+x^2)/sqrt(3+y^2)"
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize(
+    "surface, zeros",
+    [
+        ("exp(x)+sin(y)", ("dxy", "dxxy", "dxyy")),
+        ("-(x+y)", ("dxx", "dxy", "dyy") + THIRD),
+        ("x^2+0.62*y^2-3*x*y+x-1", THIRD),
+    ],
+)
+def test_structural_zeros_are_positive(surface, zeros, order):
+    """A partial that is zero by structure is folded to a +0.0 literal,
+    where one jet operation at a time gave -0.0 for some of these."""
+    j = eval_jet(parse(surface), (0.5, 0.25), order)
+    for name in zeros:
+        if order == 3 or name not in THIRD:
+            value = getattr(j, name)
+            assert (value, math.copysign(1.0, value)) == (0.0, 1.0), name
+
+
+@pytest.mark.parametrize("order", [0, 2, 3])
+def test_emitted_kernel_has_no_zero_or_one_operands(order):
+    e = parse(MIXED)
+    t = Tape(order)
+    result = _emit(t, e, t.seed("x", dx="1.0"), t.seed("y", dy="1.0"))
+    source = "\n".join(t.lines) + "\n" + " ".join(result)
+    for operand in ("0.0 *", "* 0.0", "1.0 *", "* 1.0", "+ 0.0"):
+        assert operand not in source, operand
+
+
+@pytest.mark.parametrize("order", [0, 2, 3])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_zero_times_a_non_finite_value_is_refused(x, order):
+    """The constant 0 is bound to a local, not folded: 0 * x stays NaN at an
+    infinite or NaN x, as in eval_value, and the kernel refuses it."""
+    with pytest.raises(NumericOverflowError, match="^jet evaluation produced a non-finite value$"):
+        compile_jet(parse("0*x"), order)(x, 1.0)
+    with pytest.raises(NumericOverflowError):
+        eval_value(parse("0*x"), (x, 1.0))
 
 
 # -- order 3 -------------------------------------------------------------------
