@@ -352,12 +352,10 @@ def cmd_ode(args) -> dict:
         max_dev = max(abs(f - oracle(t)) for t, f, _ in trajectory)
         passed = max_dev <= args.tol
     if args.out:
-        import csv
-
+        # The bytes csv.writer writes: CRLF rows of repr floats, unquoted.
         with open(args.out, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "f", "fp"])
-            writer.writerows(trajectory)
+            fh.write("t,f,fp\r\n")
+            fh.writelines(f"{t!r},{f!r},{fp!r}\r\n" for t, f, fp in trajectory)
     t_last, f_last, fp_last = trajectory[-1]
     params = {
         "ode": args.ode,

@@ -228,9 +228,11 @@ def predict(spec: FamilySpec) -> Optional[FamilyPrediction]:
                 lw=LWParams(a=m0, b=1.0, c=n0),
             )
         case CaseC(c8=c8, c9=c9):
-            prediction = FamilyPrediction(
-                K_expected=-((c8 * c9) ** 2), H_expected=0.0, lw=None
-            )
+            try:
+                K = -((c8 * c9) ** 2)
+            except OverflowError:  # float ** raises where * gives inf
+                K = -math.inf
+            prediction = FamilyPrediction(K_expected=K, H_expected=0.0, lw=None)
         case ParabolicSphere(c3=c3):
             prediction = FamilyPrediction(
                 K_expected=4.0 * c3 * c3, H_expected=2.0 * c3, lw=None

@@ -26,6 +26,7 @@ from typing import Union
 from .errors import (
     DegenerateODEError,
     InvalidSpecError,
+    NumericOverflowError,
     SingularPointError,
     StepTooLargeError,
     record,
@@ -49,11 +50,18 @@ class ShiftedReciprocalODE:
         if self.c3 == 0.0:
             raise InvalidSpecError("shifted-reciprocal equation requires c3 != 0")
 
-    def denominator(self, f: float) -> float:
-        return self.m0 / (2.0 * self.c3) + f
+    def _accel(self):
+        """f''(t, f, f') with this equation's constants bound; t names
+        where a vanishing denominator is met."""
+        shift = self.m0 / (2.0 * self.c3)
 
-    def numerator(self, f: float, fp: float) -> float:
-        return 2.0 * fp * fp
+        def accel(t: float, f: float, fp: float) -> float:
+            den = shift + f
+            if abs(den) < DENOMINATOR_FLOOR:
+                raise DegenerateODEError("right-hand side denominator vanished", t)
+            return 2.0 * fp * fp / den
+
+        return accel
 
 
 @record
@@ -65,11 +73,17 @@ class SaturatedLinearODE:
         if self.c5 == 0.0:
             raise InvalidSpecError("saturated-linear equation requires c5 != 0")
 
-    def denominator(self, f: float) -> float:
-        return self.c5 * self.d10 * f + 1.0
+    def _accel(self):
+        """f''(t, f, f'), as ShiftedReciprocalODE._accel."""
+        c5, c5_d10 = self.c5, self.c5 * self.d10
 
-    def numerator(self, f: float, fp: float) -> float:
-        return self.c5 * f
+        def accel(t: float, f: float, fp: float) -> float:
+            den = c5_d10 * f + 1.0
+            if abs(den) < DENOMINATOR_FLOOR:
+                raise DegenerateODEError("right-hand side denominator vanished", t)
+            return c5 * f / den
+
+        return accel
 
 
 OdeKind = Union[ShiftedReciprocalODE, SaturatedLinearODE]
@@ -100,52 +114,51 @@ class IVP:
             raise ValueError(f"span / step exceeds the cap of {_MAX_STEPS} steps")
 
 
-def _accel(rhs: OdeKind, t: float, f: float, fp: float) -> float:
-    den = rhs.denominator(f)
-    if abs(den) < DENOMINATOR_FLOOR:
-        raise DegenerateODEError("right-hand side denominator vanished", t)
-    return rhs.numerator(f, fp) / den
-
-
-def _rk4_step(
-    rhs: OdeKind, t: float, f: float, fp: float, h: float
-) -> tuple[float, float]:
-    k1f = fp
-    k1p = _accel(rhs, t, f, fp)
-    k2f = fp + 0.5 * h * k1p
-    k2p = _accel(rhs, t + 0.5 * h, f + 0.5 * h * k1f, k2f)
-    k3f = fp + 0.5 * h * k2p
-    k3p = _accel(rhs, t + 0.5 * h, f + 0.5 * h * k2f, k3f)
-    k4f = fp + h * k3p
-    k4p = _accel(rhs, t + h, f + h * k3f, k4f)
-    return (
-        f + h / 6.0 * (k1f + 2.0 * k2f + 2.0 * k3f + k4f),
-        fp + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-    )
-
-
 def integrate(ivp: IVP) -> list[tuple[float, float, float]]:
     """Trajectory [(t, f, f'), ...] from t0 to t_end inclusive.
 
     The span is divided into round(span/step) equal steps. Every step is
     also taken as two half steps; a discrepancy above LOCAL_ERROR_LIMIT
-    raises StepTooLarge with the offending location.
+    raises StepTooLarge with the offending location, and a non-finite state
+    raises NumericOverflowError naming the step's t.
     """
-    span = ivp.t_end - ivp.t0
+    accel = ivp.rhs._accel()
+
+    def rk4(t: float, f: float, fp: float, h: float) -> tuple[float, float]:
+        hh = 0.5 * h
+        k1p = accel(t, f, fp)
+        k2f = fp + hh * k1p
+        k2p = accel(t + hh, f + hh * fp, k2f)
+        k3f = fp + hh * k2p
+        k3p = accel(t + hh, f + hh * k2f, k3f)
+        k4f = fp + h * k3p
+        k4p = accel(t + h, f + h * k3f, k4f)
+        h6 = h / 6.0
+        return (
+            f + h6 * (fp + 2.0 * k2f + 2.0 * k3f + k4f),
+            fp + h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
+        )
+
+    t0 = ivp.t0
+    span = ivp.t_end - t0
     n = max(1, round(span / ivp.step))
     h = span / n
-    f = ivp.y0
-    fp = ivp.yp0
-    out = [(ivp.t0, f, fp)]
-    for k in range(n):
-        t = ivp.t0 + k * h
-        f_full, fp_full = _rk4_step(ivp.rhs, t, f, fp, h)
-        f_half, fp_half = _rk4_step(ivp.rhs, t, f, fp, 0.5 * h)
-        f_half, fp_half = _rk4_step(ivp.rhs, t + 0.5 * h, f_half, fp_half, 0.5 * h)
-        if max(abs(f_full - f_half), abs(fp_full - fp_half)) > LOCAL_ERROR_LIMIT:
-            raise StepTooLargeError("local error estimate exceeded the limit", t)
+    hh = 0.5 * h
+    t, f, fp = t0, ivp.y0, ivp.yp0
+    out = [(t, f, fp)]
+    for k in range(1, n + 1):
+        f_full, fp_full = rk4(t, f, fp, h)
+        f_half, fp_half = rk4(t, f, fp, hh)
+        f_half, fp_half = rk4(t + hh, f_half, fp_half, hh)
+        err_f, err_fp = abs(f_full - f_half), abs(fp_full - fp_half)
+        # Each component is tested, and so written that a NaN fails.
+        if not (err_f <= LOCAL_ERROR_LIMIT and err_fp <= LOCAL_ERROR_LIMIT):
+            if max(err_f, err_fp) > LOCAL_ERROR_LIMIT:
+                raise StepTooLargeError("local error estimate exceeded the limit", t)
+            raise NumericOverflowError(f"non-finite state in the step from t = {t!r}")
         f, fp = f_full, fp_full
-        out.append((ivp.t0 + (k + 1) * h, f, fp))
+        t = t0 + k * h
+        out.append((t, f, fp))
     return out
 
 

@@ -131,14 +131,17 @@ def test_non_finite_or_arithmetic_failure_is_refused(capsys, argv):
          "ln of non-positive value -1.0 at (x, y) = (-1.0, -1.0) in the euler residual"),
         # (c4 x + d9)^4 overflows in the contradiction scan.
         ("verify-family --spec {spec}", "relation defect overflows at sample x = -1.0"),
+        # K = -(c8 c9)^2 once raised a bare OverflowError from float **.
+        ("verify-family --spec {casec} --grid 3,3", "predicted K = -inf of CaseC overflows"),
         ("mesh --surface 1/x --grid 3,3 --exclusion 0 --out {out}",
          "division by a quantity with zero value at (x, y) = (0.0, -1.0)"),
     ],
 )
 def test_non_finite_input_is_named(capsys, tmp_path, argv, message):
     spec = write_spec(tmp_path, "spec.json", dict(CASE_31, c4=1e100, d8=1.0, d9=0.5))
+    casec = write_spec(tmp_path, "casec.json", {"kind": "CaseC", "c8": 1e200, "d15": 1.0, "c9": 3.0, "d16": 4.0})
     out = tmp_path / "mesh.obj"
-    code, report, err = run_cli(capsys, *argv.format(spec=spec, out=out).split())
+    code, report, err = run_cli(capsys, *argv.format(spec=spec, casec=casec, out=out).split())
     assert (code, report, err) == (2, None, f"error: {message}\n")
 
 
@@ -600,6 +603,44 @@ def test_ode_degenerate_start_is_an_error(capsys):
     )
     assert code == 2
     assert "denominator" in err
+
+
+def test_ode_non_finite_state_is_refused_before_the_csv(capsys, tmp_path):
+    # c5 f overflows at f0 = 1e308; the NaN state once passed the step check
+    # and filled the CSV with nan rows.
+    out = tmp_path / "traj.csv"
+    argv = "ode --ode saturated-linear --c5 2 --d10 0.5 --f0 1e308 --fp0 0 --t-end 1 --step 0.1"
+    code, report, err = run_cli(capsys, *argv.split(), "--out", str(out))
+    assert (code, report, err) == (2, None, "error: non-finite state in the step from t = 0.0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--ode saturated-linear --c5=-3.5 --d10 0.25 --f0 0.7 --fp0=-1e-05 --t0=-0.5 --t-end 1.5 --step 0.01",
+        "--ode shifted-reciprocal --c3 1 --m0 1 --f0 -1 --fp0 0.25 --t-end 2 --step 0.001",
+    ],
+)
+def test_ode_csv_bytes_are_those_of_csv_writer(capsys, tmp_path, monkeypatch, argv):
+    import isocurv.cli
+
+    integrate = isocurv.cli.integrate
+    trajectories = []
+
+    def recording(ivp):
+        trajectories.append(integrate(ivp))
+        return trajectories[-1]
+
+    monkeypatch.setattr(isocurv.cli, "integrate", recording)
+    out = tmp_path / "traj.csv"
+    code, _, _ = run_cli(capsys, "ode", *argv.split(), "--out", str(out))
+    assert code == 0
+    with open(tmp_path / "want.csv", "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "f", "fp"])
+        writer.writerows(trajectories[0])
+    assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # -- mesh ---------------------------------------------------------------------------

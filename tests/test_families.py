@@ -180,6 +180,9 @@ def test_an_overflowing_prediction_is_refused():
         verify_family(spec, GridDomain(nx=3, ny=3))
     with pytest.raises(NumericOverflowError, match="predicted H = inf"):
         predict(CaseA(f0=1.0, m0=1e-300, n0=1e300, d1=0.0, d2=0.0))
+    # CaseC's float ** raises OverflowError where * would give inf.
+    with pytest.raises(NumericOverflowError, match=r"predicted K = -inf of CaseC overflows"):
+        predict(CaseC(c8=1e200, d15=1.0, c9=3.0, d16=4.0))
 
 
 @pytest.mark.parametrize("field", ["K", "H"])

@@ -9,6 +9,7 @@ from isocurv import (
     IVP,
     DegenerateODEError,
     InvalidSpecError,
+    NumericOverflowError,
     SaturatedLinearODE,
     ShiftedReciprocalODE,
     SingularPointError,
@@ -19,6 +20,7 @@ from isocurv import (
     shifted_reciprocal_residual,
     shifted_reciprocal_solution,
 )
+from isocurv import ode
 from isocurv.expr import Add, Const, Div, Mul, Neg, Var, num
 
 
@@ -143,6 +145,127 @@ def test_oversized_step_is_rejected_by_the_probe():
     with pytest.raises(StepTooLargeError) as exc_info:
         integrate(IVP(rhs, t0=0.0, y0=1.0, yp0=0.0, t_end=2.0, step=1.0))
     assert exc_info.value.t == 0.0
+
+
+def test_a_non_finite_state_is_refused():
+    # c5 f overflows at f0 = 1e308, and inf - inf is NaN, which compares
+    # false with the error limit as with everything.
+    rhs = SaturatedLinearODE(c5=2.0, d10=0.5)
+    with pytest.raises(NumericOverflowError, match=r"^non-finite state in the step from t = 0\.0$"):
+        integrate(IVP(rhs, t0=0.0, y0=1e308, yp0=0.0, t_end=1.0, step=0.1))
+
+
+# -- bit identity with the stepper as first written --------------------------------
+# The reference below is the integrator before the right-hand side was bound
+# once per call: one call per stage into numerator and denominator. The
+# bound stepper keeps every float operation in its order and grouping, so
+# both must give the same bits and raise at the same t. The reference notes
+# where (step part, stage) a vanishing denominator was hit.
+
+
+def _ref_accel(rhs, t, f, fp, where):
+    if isinstance(rhs, SaturatedLinearODE):
+        den, numerator = rhs.c5 * rhs.d10 * f + 1.0, rhs.c5 * f
+    else:
+        den, numerator = rhs.m0 / (2.0 * rhs.c3) + f, 2.0 * fp * fp
+    if abs(den) < ode.DENOMINATOR_FLOOR:
+        err = DegenerateODEError("right-hand side denominator vanished", t)
+        err.where = where
+        raise err
+    return numerator / den
+
+
+def _ref_rk4_step(rhs, t, f, fp, h, part):
+    k1f = fp
+    k1p = _ref_accel(rhs, t, f, fp, (part, 1))
+    k2f = fp + 0.5 * h * k1p
+    k2p = _ref_accel(rhs, t + 0.5 * h, f + 0.5 * h * k1f, k2f, (part, 2))
+    k3f = fp + 0.5 * h * k2p
+    k3p = _ref_accel(rhs, t + 0.5 * h, f + 0.5 * h * k2f, k3f, (part, 3))
+    k4f = fp + h * k3p
+    k4p = _ref_accel(rhs, t + h, f + h * k3f, k4f, (part, 4))
+    return (
+        f + h / 6.0 * (k1f + 2.0 * k2f + 2.0 * k3f + k4f),
+        fp + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
+    )
+
+
+def _ref_integrate(ivp):
+    span = ivp.t_end - ivp.t0
+    n = max(1, round(span / ivp.step))
+    h = span / n
+    f = ivp.y0
+    fp = ivp.yp0
+    out = [(ivp.t0, f, fp)]
+    for k in range(n):
+        t = ivp.t0 + k * h
+        f_full, fp_full = _ref_rk4_step(ivp.rhs, t, f, fp, h, "full")
+        f_half, fp_half = _ref_rk4_step(ivp.rhs, t, f, fp, 0.5 * h, "half")
+        f_half, fp_half = _ref_rk4_step(ivp.rhs, t + 0.5 * h, f_half, fp_half, 0.5 * h, "half")
+        if max(abs(f_full - f_half), abs(fp_full - fp_half)) > ode.LOCAL_ERROR_LIMIT:
+            raise StepTooLargeError("local error estimate exceeded the limit", t)
+        f, fp = f_full, fp_full
+        out.append((ivp.t0 + (k + 1) * h, f, fp))
+    return out
+
+
+def _outcome(integrator, ivp):
+    """The trajectory under float.hex, or the error's class, message and t."""
+    try:
+        return [tuple(v.hex() for v in row) for row in integrator(ivp)]
+    except (DegenerateODEError, StepTooLargeError) as err:
+        return type(err), str(err), err.t.hex()
+
+
+def _seeded_ivp(rng, max_steps):
+    def signed(lo, hi):
+        return rng.choice([-1.0, 1.0]) * rng.uniform(lo, hi)
+
+    if rng.random() < 0.5:
+        d10 = rng.choice([0.0, rng.uniform(-1.5, 1.5)])
+        rhs = SaturatedLinearODE(c5=signed(0.2, 6.0), d10=d10)
+    else:
+        rhs = ShiftedReciprocalODE(c3=signed(0.3, 2.0), m0=signed(0.3, 2.0))
+    t0 = rng.uniform(-1.0, 1.0)
+    t_end = t0 + rng.uniform(0.2, 2.0)
+    y0, yp0 = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
+    return IVP(rhs, t0, y0, yp0, t_end, (t_end - t0) / rng.randint(1, max_steps))
+
+
+def test_trajectories_are_those_of_the_reference_stepper_bit_for_bit():
+    rng = random.Random(20261018)
+    kinds, errors = set(), []
+    for _ in range(300):
+        ivp = _seeded_ivp(rng, 300)
+        got = _outcome(integrate, ivp)
+        assert got == _outcome(_ref_integrate, ivp), ivp
+        if isinstance(got, list):
+            rhs = ivp.rhs
+            kinds.add((type(rhs).__name__, getattr(rhs, "d10", 0.0) != 0.0, getattr(rhs, "c5", 1.0) < 0.0))
+        else:
+            errors.append(got[0])
+    # Both kinds completed, the saturated one with d10 != 0 and with c5 < 0.
+    assert {("ShiftedReciprocalODE", False, False), ("SaturatedLinearODE", True, False),
+            ("SaturatedLinearODE", False, True), ("SaturatedLinearODE", True, True)} <= kinds
+    assert errors.count(StepTooLargeError) >= 10
+
+
+def test_a_vanishing_denominator_is_raised_at_the_reference_stage(monkeypatch):
+    # A wide floor band makes hits at every stage of the full and the half
+    # steps common; t must be the stage's own: t, t + h/2 or t + h.
+    monkeypatch.setattr(ode, "DENOMINATOR_FLOOR", 0.05)
+    rng = random.Random(20261019)
+    hits = set()
+    for _ in range(3000):
+        ivp = _seeded_ivp(rng, 3)
+        assert _outcome(integrate, ivp) == _outcome(_ref_integrate, ivp), ivp
+        try:
+            _ref_integrate(ivp)
+        except DegenerateODEError as err:
+            hits.add((err.where[0], {1: "first", 2: "mid", 3: "mid", 4: "last"}[err.where[1]]))
+        except StepTooLargeError:
+            pass
+    assert {(part, stage) for part in ("full", "half") for stage in ("first", "mid", "last")} <= hits
 
 
 # -- closed forms ------------------------------------------------------------------
