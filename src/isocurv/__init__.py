@@ -32,14 +32,14 @@ _EXPORTS = {
     ),
     "expr": (
         "Add", "Const", "Cos", "Div", "Exp", "Expr", "Ln", "Mul", "Neg", "Pow",
-        "Sin", "Sqrt", "Sub", "Var", "eval_jet", "eval_value", "lift_1d", "num",
-        "parse", "to_string", "variables",
+        "Sin", "Sqrt", "Sub", "Var", "eval_jet", "lift_1d", "num", "parse",
+        "to_string", "variables",
     ),
     "families": (
         "Case31Candidate", "CaseA", "CaseB", "CaseC", "FamilyPrediction",
         "FamilySpec", "NonIsotropicPlane", "ParabolicSphere", "build",
-        "case31_contradiction_scan", "case31_residual", "predict", "singular_loci",
-        "spec_from_dict", "spec_to_dict", "verify_family",
+        "case31_contradiction_scan", "case31_residual", "case31_rounding_bound",
+        "predict", "singular_loci", "spec_from_dict", "spec_to_dict", "verify_family",
     ),
     "jet": ("Jet1", "Jet2"),
     "mesh": ("MeshStats", "build_mesh", "write_obj"),
@@ -48,7 +48,7 @@ _EXPORTS = {
         "linear_force_solution", "shifted_reciprocal_residual",
         "shifted_reciprocal_solution",
     ),
-    "oracle": ("FDConfig", "JetComparison", "compare", "fd_jet"),
+    "oracle": ("FDConfig", "JetComparison", "compare", "eval_value", "fd_jet"),
     "weingarten": (
         "LWParams", "NormalizedLW", "ResidualReport", "euler_residual",
         "euler_residual_fn", "jacobian_residual_fn", "lw_residual", "lw_residual_fn",
@@ -63,16 +63,16 @@ __all__ = [
     "GridDomain",
     "DegenerateODEError", "IsocurvError", "NoConstantPredictionError", "ParseError",
     "StepTooLargeError",
-    "eval_jet", "eval_value", "lift_1d", "parse", "to_string", "variables",
+    "eval_jet", "lift_1d", "parse", "to_string", "variables",
     "Case31Candidate", "CaseA", "CaseB", "CaseC", "NonIsotropicPlane",
-    "ParabolicSphere", "build", "case31_contradiction_scan", "predict",
-    "spec_from_dict", "spec_to_dict", "verify_family",
+    "ParabolicSphere", "build", "case31_contradiction_scan", "case31_rounding_bound",
+    "predict", "spec_from_dict", "spec_to_dict", "verify_family",
     "Jet1", "Jet2",
     "build_mesh", "write_obj",
     "IVP", "SaturatedLinearODE", "ShiftedReciprocalODE", "integrate",
     "linear_force_solution", "shifted_reciprocal_residual",
     "shifted_reciprocal_solution",
-    "compare", "fd_jet",
+    "compare", "eval_value", "fd_jet",
     "LWParams", "euler_residual", "lw_residual", "normalize", "weingarten_jacobian",
 ]
 

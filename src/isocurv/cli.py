@@ -266,6 +266,7 @@ def cmd_verify_family(args) -> dict:
         Case31Candidate,
         build,
         case31_contradiction_scan,
+        case31_rounding_bound,
         predict,
         singular_loci,
         spec_to_dict,
@@ -281,7 +282,9 @@ def cmd_verify_family(args) -> dict:
     if isinstance(spec, Case31Candidate):
         xs = [x for x in domain.xs() if domain.included(x, domain.y_min)]
         report = case31_contradiction_scan(spec, args.n0, xs)
-        passed = report.n_samples >= 3 and report.std_dev > 0.0
+        # A spread within rounding of a constant shows nothing.
+        noise = case31_rounding_bound(spec, args.n0, xs)
+        passed = report.n_samples >= 3 and report.std_dev > noise
         params["n0"] = args.n0
         result = report.to_dict()
         result["check"] = "contradiction_scan"
@@ -406,9 +409,31 @@ _DISPATCH = {
 }
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each negative number or number list that follows an
+    option, as in --fp0 -1e-05 or --domain -1,1,-1,1, joined to it as
+    --fp0=-1e-05: argparse reads a token that starts with '-' as an option
+    unless it has the shape -1 or -0.5, but takes anything after '='."""
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        option = prev.startswith("--") and "=" not in prev and not "--help".startswith(prev)
+        if option and arg.startswith("-"):
+            try:
+                for part in arg.split(","):
+                    float(part)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{prev}={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_argparser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         report = _DISPATCH[args.command](args)
         # RFC 8259 has no NaN or Infinity: such a report is an error.

@@ -19,12 +19,12 @@ parse(to_string(e)) reproduces e node for node whenever e is in parse
 normal form, i.e. every negative constant is spelled Neg(Const(+c)). The
 num() helper builds constants in that form.
 
-Two independent evaluators are provided. eval_jet runs the kernel that
-compile_jet builds once per tree from the jet rules; eval_value is a plain
-float recursion kept free of any jet code so finite-difference checks
-built on it are a genuinely separate path. lift_1d runs the same kernel on
-single-variable factors and keeps the partials in the variable used.
-compile_jet at order 0 gives the value alone, which meshes use.
+eval_jet runs the kernel that compile_jet builds once per tree from the
+jet rules. lift_1d runs the same kernel on single-variable factors and
+keeps the partials in the variable used. compile_jet at order 0 gives the
+value alone, which meshes use. The one other evaluator, the plain-float
+eval_value of the finite-difference oracle, lives in oracle.py and shares
+no code with these.
 """
 
 from __future__ import annotations
@@ -34,15 +34,7 @@ import re
 from typing import Union
 
 from . import jet as jetmath
-from .errors import (
-    DivisionByZeroError,
-    EvaluationDomainError,
-    MixedVariableError,
-    NumericOverflowError,
-    ParseError,
-    UnknownIdentifierError,
-    record,
-)
+from .errors import MixedVariableError, ParseError, UnknownIdentifierError, record
 from .jet import Jet1, Jet2
 
 
@@ -356,75 +348,6 @@ def to_string(e: Expr) -> str:
 
 
 # -- evaluation --------------------------------------------------------------
-
-
-def _eval_plain(e: Expr, x: float, y: float) -> float:
-    match e:
-        case Const(value=v):
-            return v
-        case Var(name=name):
-            return x if name == "x" else y
-        case Neg(arg=a):
-            return -_eval_plain(a, x, y)
-        case Add(left=l, right=r):
-            return _eval_plain(l, x, y) + _eval_plain(r, x, y)
-        case Sub(left=l, right=r):
-            return _eval_plain(l, x, y) - _eval_plain(r, x, y)
-        case Mul(left=l, right=r):
-            return _eval_plain(l, x, y) * _eval_plain(r, x, y)
-        case Div(left=l, right=r):
-            den = _eval_plain(r, x, y)
-            if den == 0.0:
-                raise DivisionByZeroError("division by zero")
-            return _eval_plain(l, x, y) / den
-        case Pow(base=b, exponent=ex):
-            base = _eval_plain(b, x, y)
-            try:
-                if ex == int(ex):
-                    return base ** int(ex)
-                if base <= 0.0:
-                    raise EvaluationDomainError(
-                        f"non-integer power of non-positive base {base!r}"
-                    )
-                return base**ex
-            except ZeroDivisionError:
-                raise DivisionByZeroError(
-                    "zero base raised to a negative power"
-                ) from None
-            except OverflowError:
-                raise NumericOverflowError("power overflow") from None
-        case Exp(arg=a):
-            try:
-                return math.exp(_eval_plain(a, x, y))
-            except OverflowError:
-                raise NumericOverflowError("exp overflow") from None
-        case Ln(arg=a):
-            v = _eval_plain(a, x, y)
-            if v <= 0.0:
-                raise EvaluationDomainError(f"ln of non-positive value {v!r}")
-            return math.log(v)
-        case Sin(arg=a) | Cos(arg=a):
-            v = _eval_plain(a, x, y)
-            fn = math.sin if isinstance(e, Sin) else math.cos
-            try:
-                return fn(v)
-            except ValueError:
-                raise NumericOverflowError(f"{fn.__name__} of non-finite argument {v!r}") from None
-        case Sqrt(arg=a):
-            v = _eval_plain(a, x, y)
-            if v <= 0.0:
-                raise EvaluationDomainError(f"sqrt of non-positive value {v!r}")
-            return math.sqrt(v)
-        case _:
-            raise TypeError(f"not an expression node: {e!r}")
-
-
-def eval_value(e: Expr, p: tuple[float, float]) -> float:
-    """Plain float evaluation. Shares no code with the jet layer."""
-    v = _eval_plain(e, p[0], p[1])
-    if not math.isfinite(v):
-        raise NumericOverflowError("evaluation produced a non-finite value")
-    return v
 
 
 def _emit(t: jetmath.Tape, e: Expr, x: jetmath.Src, y: jetmath.Src) -> jetmath.Src:

@@ -319,6 +319,37 @@ def case31_contradiction_scan(
     return summarize(values, points)
 
 
+def case31_rounding_bound(spec: Case31Candidate, n0: float, xs: list[float]) -> float:
+    """The largest std_dev that rounding alone can give the defects that
+    case31_residual computes at xs. A scan of them shows the defect to be
+    non-constant, which is the contradiction, only when its std_dev
+    exceeds this bound over at least 3 samples.
+
+    Were the exact defect one constant c at the abscissas t the scan
+    computed (rounding in t moves a sample along x, where a constant stays
+    constant), every computed defect would lie within E of c, so their
+    population std_dev would be at most E. To first order in u = 2^-53,
+    E <= 10 u S, where S is the largest sum of the terms' magnitudes
+
+        A + B + C + |n0|,  A = c4^2 (4 |c3 d8| + d7^2) / t^4,
+                           B = |2 m0 c3 / t|,  C = m0^2,
+
+    at a sample: lead / t**4 is off by at most 7 u A (4 u from the
+    products and the difference 4 c3 d8 - d7^2, which may cancel; 2 u
+    from pow, under 1 ulp; u from the quotient), the middle term by 2 u B,
+    m0 * m0 by u C, and each of the three subtractions by u of its
+    result, at most u S. The bound is 16 u S, which also covers the few
+    ulps summarize adds to std_dev. It is relative to S, not to the
+    largest |defect|: where the terms cancel to a defect near 0, the
+    noise stays of size u S and can reach the largest |defect|.
+    """
+    lead = spec.c4 * spec.c4 * (4.0 * abs(spec.c3 * spec.d8) + spec.d7 * spec.d7)
+    middle = abs(2.0 * spec.m0 * spec.c3)
+    rest = spec.m0 * spec.m0 + abs(n0)
+    scale = max(lead / t**4 + middle / abs(t) + rest for t in (spec.c4 * x + spec.d9 for x in xs))
+    return 2.0**-49 * scale
+
+
 # -- JSON wire format --------------------------------------------------------
 
 _KINDS: dict[str, type] = {cls.__name__: cls for cls in get_args(FamilySpec)}

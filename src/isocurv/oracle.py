@@ -1,16 +1,164 @@
 """Finite-difference jets, independent of the jet arithmetic layer.
 
 Derivatives come from five-point central stencils applied to plain float
-evaluation only. Nothing here touches jet propagation, so this path stands
-as a genuinely separate oracle for it: agreement between fd_jet and
-eval_jet cross-validates both.
+evaluation only: eval_value runs each tree through closures built once
+per tree, one per node, each doing its node's float operation. Nothing
+here touches jet propagation, so this path stands as a genuinely separate
+oracle for it: agreement between fd_jet and eval_jet cross-validates both.
 """
 
 from __future__ import annotations
 
-from .errors import record, require_finite
-from .expr import Expr, eval_value
+import math
+from typing import Callable
+
+from .errors import (
+    DivisionByZeroError,
+    EvaluationDomainError,
+    NumericOverflowError,
+    record,
+    require_finite,
+)
+from .expr import Add, Const, Cos, Div, Exp, Expr, Ln, Mul, Neg, Pow, Sin, Sqrt, Sub, Var
 from .jet import Jet2
+
+ValueFn = Callable[[float, float], float]
+
+
+def _plain(e: Expr) -> ValueFn:
+    """One closure (x, y) -> float for the tree e. Each node does its float
+    operation on its operands' values in the order of a recursive walk
+    (a quotient's denominator first, a power's base before its exponent
+    is checked) and raises that walk's errors."""
+    match e:
+        case Const(value=v):
+            return lambda x, y: v
+        case Var(name="x"):
+            return lambda x, y: x
+        case Var():
+            return lambda x, y: y
+        case Neg(arg=a):
+            f = _plain(a)
+            return lambda x, y: -f(x, y)
+        case Add(left=l, right=r):
+            f, g = _plain(l), _plain(r)
+            return lambda x, y: f(x, y) + g(x, y)
+        case Sub(left=l, right=r):
+            f, g = _plain(l), _plain(r)
+            return lambda x, y: f(x, y) - g(x, y)
+        case Mul(left=l, right=r):
+            f, g = _plain(l), _plain(r)
+            return lambda x, y: f(x, y) * g(x, y)
+        case Div(left=l, right=r):
+            f, g = _plain(l), _plain(r)
+
+            def div(x, y):
+                den = g(x, y)
+                if den == 0.0:
+                    raise DivisionByZeroError("division by zero")
+                return f(x, y) / den
+
+            return div
+        case Pow(base=b, exponent=ex):
+            return _power(_plain(b), ex)
+        case Exp(arg=a):
+            f = _plain(a)
+
+            def exp(x, y):
+                try:
+                    return math.exp(f(x, y))
+                except OverflowError:
+                    raise NumericOverflowError("exp overflow") from None
+
+            return exp
+        case Ln(arg=a) | Sqrt(arg=a):
+            f = _plain(a)
+            fn, name = (math.log, "ln") if isinstance(e, Ln) else (math.sqrt, "sqrt")
+
+            def root(x, y):
+                v = f(x, y)
+                if v <= 0.0:
+                    raise EvaluationDomainError(f"{name} of non-positive value {v!r}")
+                return fn(v)
+
+            return root
+        case Sin(arg=a) | Cos(arg=a):
+            f = _plain(a)
+            fn = math.sin if isinstance(e, Sin) else math.cos
+
+            def trig(x, y):
+                v = f(x, y)
+                try:
+                    return fn(v)
+                except ValueError:
+                    raise NumericOverflowError(f"{fn.__name__} of non-finite argument {v!r}") from None
+
+            return trig
+        case _:
+            # Refused when reached, as the walk did, so an error met
+            # earlier in the tree still comes first.
+            def not_a_node(x, y):
+                raise TypeError(f"not an expression node: {e!r}")
+
+            return not_a_node
+
+
+def _power(f: ValueFn, ex: float) -> ValueFn:
+    if not math.isfinite(ex):
+        # int() refuses it, after the base is evaluated, where the walk's
+        # test ex == int(ex) did: OverflowError for an infinity is a power
+        # overflow, ValueError for a NaN passes through.
+        def refuse(x, y):
+            f(x, y)
+            try:
+                return int(ex)
+            except OverflowError:
+                raise NumericOverflowError("power overflow") from None
+
+        return refuse
+    if ex == int(ex):
+        n = int(ex)
+
+        def power(x, y):
+            base = f(x, y)
+            try:
+                return base**n
+            except ZeroDivisionError:
+                raise DivisionByZeroError("zero base raised to a negative power") from None
+            except OverflowError:
+                raise NumericOverflowError("power overflow") from None
+
+        return power
+
+    def real_power(x, y):
+        base = f(x, y)
+        if base <= 0.0:
+            raise EvaluationDomainError(f"non-integer power of non-positive base {base!r}")
+        try:
+            return base**ex  # a positive or NaN base: no ZeroDivisionError
+        except OverflowError:
+            raise NumericOverflowError("power overflow") from None
+
+    return real_power
+
+
+# The tree evaluated last and its closure: fd_jet evaluates one tree 21
+# times a point. A slot of its own, not expr._last, since the oracle's
+# callers alternate eval_jet and fd_jet on one tree.
+_last: tuple = (None, None)
+
+
+def eval_value(e: Expr, p: tuple[float, float]) -> float:
+    """Plain float value of e at p. Shares no code with the jet layer."""
+    global _last
+    tree, fn = _last  # one read, so a swap by another thread cannot mix trees
+    if tree is not e:
+        fn = _plain(e)
+        _last = (e, fn)
+    v = fn(p[0], p[1])
+    if not math.isfinite(v):
+        raise NumericOverflowError("evaluation produced a non-finite value")
+    return v
 
 
 @record

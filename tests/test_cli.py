@@ -164,6 +164,27 @@ def test_number_lists_are_checked(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        ("ode --ode saturated-linear --c5 1 --f0 1 --fp0 -1e-05 --t-end 0.1 --step 0.01", "fp0", -1e-05),
+        ("ode --ode saturated-linear --c5 -2e-3 --f0 1 --fp0 0 --t-end 0.1 --step 0.01", "c5", -2e-3),
+        ("ode --ode saturated-linear --c5 1 --f0 -1E+2 --fp0 0 --t0 -1e-3 --t-end 0.1 --step 0.01",
+         "t0", -1e-3),
+        ("scan --surface x --residual lw --a -1e0 --b 0 --c -.5e1 --grid 2,2", "lw",
+         {"a": -1.0, "b": 0.0, "c": -5.0}),
+        ("scan --surface x --residual euler --domain -1,1,-2e-1,1 --grid 2,2", "domain",
+         [-1.0, 1.0, -0.2, 1.0]),
+        ("eval --surface x*y --at -1e-3,-2", "at", [-1e-3, -2.0]),
+    ],
+)
+def test_negative_numbers_in_exponent_form_are_values(capsys, argv, key, value):
+    # argparse alone reads -1e-05 or -1,1,... after an option as an option.
+    code, report, err = run_cli(capsys, *argv.split())
+    assert code in (0, 1) and err == ""
+    assert report["params"][key] == value
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         ("scan --surface x --residual euler --grid 100000,100000",
@@ -387,6 +408,18 @@ def test_verify_family_contradiction_custom_n0(capsys, tmp_path):
     assert code == 0
     assert report["pass"] is True  # shifting n0 cannot make the defect constant
     assert report["params"]["n0"] == -1.0
+
+
+@pytest.mark.parametrize("n0", ["0", "-1.8"])
+def test_verify_family_contradiction_within_rounding_fails(capsys, tmp_path, n0):
+    # Three samples an ulp or two apart: a std_dev of about 1e-16 is noise.
+    spec_path = write_spec(tmp_path, "c31.json", {**CASE_31, "d9": 2.0})
+    code, report, _ = run_cli(capsys, "verify-family", "--spec", spec_path, "--n0", n0,
+                              "--domain=0.5,0.5000000000000003,-1,1", "--grid=3,3")
+    assert code == 1
+    assert report["pass"] is False
+    assert report["result"]["n_samples"] == 3
+    assert 0.0 < report["result"]["std_dev"] < 1e-15
 
 
 def test_verify_family_malformed_json(capsys, tmp_path):

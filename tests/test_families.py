@@ -25,6 +25,7 @@ from isocurv import (
     build,
     case31_contradiction_scan,
     case31_residual,
+    case31_rounding_bound,
     curvatures,
     eval_jet,
     eval_value,
@@ -271,6 +272,24 @@ def test_contradiction_scan_statistics():
     assert report.mean_abs == pytest.approx(10.0 / 3.0, rel=1e-15)
     assert report.std_dev == pytest.approx(math.sqrt(14.0) / 3.0, rel=1e-14)
     assert report.std_dev > 0.0  # the defect is not constant: no relation
+
+
+def test_contradiction_needs_a_spread_above_rounding():
+    # S = 2/0.5 + 1 at x = 0.5, the largest sum of term magnitudes.
+    assert case31_rounding_bound(SPEC_31, 0.0, [0.5, 1.0, 2.0]) == 5.0 * 2.0**-49
+    # Three abscissas an ulp or two apart: the spread is rounding noise,
+    # about 1e-16 against a defect of 1.8, and shows nothing.
+    spec = Case31Candidate(c3=1.0, c4=1.0, d7=0.0, d8=0.0, d9=2.0, m0=1.0)
+    xs = GridDomain(0.5, 0.5000000000000003, -1.0, 1.0, nx=3, ny=3).xs()
+    for n0 in (0.0, -1.8):  # -1.8 cancels the defect to about 1e-16 itself
+        report = case31_contradiction_scan(spec, n0, xs)
+        assert 0.0 < report.std_dev <= case31_rounding_bound(spec, n0, xs)
+    # Noise only, yet std_dev is over 0.4 of max |defect|: no bound relative
+    # to max |defect| alone could refuse it.
+    assert report.std_dev > 0.4 * report.max_abs
+    # A spread of order one is far above it.
+    report = case31_contradiction_scan(spec, 0.0, [-1.0, 0.0, 1.0])
+    assert report.std_dev > 1e12 * case31_rounding_bound(spec, 0.0, [-1.0, 0.0, 1.0])
 
 
 def test_contradiction_scan_single_sample_is_inconclusive():

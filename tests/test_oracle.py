@@ -1,18 +1,166 @@
-"""Finite-difference stencils against hand values and the jet evaluator."""
+"""Finite-difference stencils against hand values and the jet evaluator, and
+the plain evaluator under them against a recursive tree walk."""
 
 import math
+import random
 
 import pytest
+from conftest import SEED, random_expr
 
 from isocurv import (
+    DivisionByZeroError,
+    EvaluationDomainError,
     FDConfig,
     Jet2,
+    NumericOverflowError,
     compare,
     eval_jet,
     eval_value,
     fd_jet,
     parse,
 )
+from isocurv.expr import Add, Const, Cos, Div, Exp, Ln, Mul, Neg, Pow, Sin, Sqrt, Sub, Var
+
+
+def _walk(e, x, y):
+    """The recursive walk that eval_value replaced, kept as its reference."""
+    match e:
+        case Const(value=v):
+            return v
+        case Var(name=name):
+            return x if name == "x" else y
+        case Neg(arg=a):
+            return -_walk(a, x, y)
+        case Add(left=l, right=r):
+            return _walk(l, x, y) + _walk(r, x, y)
+        case Sub(left=l, right=r):
+            return _walk(l, x, y) - _walk(r, x, y)
+        case Mul(left=l, right=r):
+            return _walk(l, x, y) * _walk(r, x, y)
+        case Div(left=l, right=r):
+            den = _walk(r, x, y)
+            if den == 0.0:
+                raise DivisionByZeroError("division by zero")
+            return _walk(l, x, y) / den
+        case Pow(base=b, exponent=ex):
+            base = _walk(b, x, y)
+            try:
+                if ex == int(ex):
+                    return base ** int(ex)
+                if base <= 0.0:
+                    raise EvaluationDomainError(
+                        f"non-integer power of non-positive base {base!r}"
+                    )
+                return base**ex
+            except ZeroDivisionError:
+                raise DivisionByZeroError(
+                    "zero base raised to a negative power"
+                ) from None
+            except OverflowError:
+                raise NumericOverflowError("power overflow") from None
+        case Exp(arg=a):
+            try:
+                return math.exp(_walk(a, x, y))
+            except OverflowError:
+                raise NumericOverflowError("exp overflow") from None
+        case Ln(arg=a):
+            v = _walk(a, x, y)
+            if v <= 0.0:
+                raise EvaluationDomainError(f"ln of non-positive value {v!r}")
+            return math.log(v)
+        case Sin(arg=a) | Cos(arg=a):
+            v = _walk(a, x, y)
+            fn = math.sin if isinstance(e, Sin) else math.cos
+            try:
+                return fn(v)
+            except ValueError:
+                raise NumericOverflowError(f"{fn.__name__} of non-finite argument {v!r}") from None
+        case Sqrt(arg=a):
+            v = _walk(a, x, y)
+            if v <= 0.0:
+                raise EvaluationDomainError(f"sqrt of non-positive value {v!r}")
+            return math.sqrt(v)
+        case _:
+            raise TypeError(f"not an expression node: {e!r}")
+
+
+def _walk_value(e, p):
+    v = _walk(e, p[0], p[1])
+    if not math.isfinite(v):
+        raise NumericOverflowError("evaluation produced a non-finite value")
+    return v
+
+
+def _outcome(fn, e, p):
+    """The value's bits, or the error's class and message."""
+    try:
+        return fn(e, p).hex()
+    except Exception as err:  # noqa: BLE001 - every refusal is compared
+        return type(err), str(err)
+
+
+def test_eval_value_is_the_walk_bit_for_bit():
+    rng = random.Random(SEED)
+    scales = (1.0, 3.0, 700.0, 1e160)
+    compared = refused = 0
+    for _ in range(1500):
+        e = random_expr(rng, rng.randint(1, 5))
+        for _ in range(8):
+            p = (rng.uniform(-1.0, 1.0) * rng.choice(scales), rng.uniform(-1.0, 1.0) * rng.choice(scales))
+            want = _outcome(_walk_value, e, p)
+            assert _outcome(eval_value, e, p) == want, (e, p)
+            compared += 1
+            refused += isinstance(want, tuple)
+    assert refused > 100 and compared - refused > 5000
+
+
+@pytest.mark.parametrize(
+    "e, p, error, message",
+    [
+        (parse("ln(x)"), (0.0, 0.0), EvaluationDomainError, "ln of non-positive value 0.0"),
+        (parse("ln(x)"), (-2.0, 0.0), EvaluationDomainError, "ln of non-positive value -2.0"),
+        (parse("sqrt(x)"), (-1.0, 0.0), EvaluationDomainError, "sqrt of non-positive value -1.0"),
+        (parse("sqrt(x)"), (0.0, 0.0), EvaluationDomainError, "sqrt of non-positive value 0.0"),
+        (parse("1/(x-1)"), (1.0, 0.0), DivisionByZeroError, "division by zero"),
+        # The denominator is evaluated first, so its error wins.
+        (parse("ln(x)/(y-1)"), (0.0, 1.0), DivisionByZeroError, "division by zero"),
+        (parse("x^-1"), (0.0, 0.0), DivisionByZeroError, "zero base raised to a negative power"),
+        (parse("x^0.5"), (-4.0, 0.0), EvaluationDomainError,
+         "non-integer power of non-positive base -4.0"),
+        (parse("x^2.5"), (0.0, 0.0), EvaluationDomainError, "non-integer power of non-positive base 0.0"),
+        (parse("exp(x)"), (1000.0, 0.0), NumericOverflowError, "exp overflow"),
+        (parse("x^100"), (1e100, 0.0), NumericOverflowError, "power overflow"),
+        (parse("x^2.5"), (1e200, 0.0), NumericOverflowError, "power overflow"),
+        (parse("sin(x)"), (math.inf, 0.0), NumericOverflowError, "sin of non-finite argument inf"),
+        (parse("cos(x*x)"), (1e160, 0.0), NumericOverflowError, "cos of non-finite argument inf"),
+        # An exponent parse refuses, built programmatically: the base first.
+        (Pow(parse("x"), math.inf), (2.0, 0.0), NumericOverflowError, "power overflow"),
+        (Pow(parse("x"), -math.inf), (2.0, 0.0), NumericOverflowError, "power overflow"),
+        (Pow(parse("x"), math.nan), (2.0, 0.0), ValueError, "cannot convert float NaN to integer"),
+        (Pow(parse("ln(x)"), math.inf), (0.0, 0.0), EvaluationDomainError, "ln of non-positive value 0.0"),
+        (parse("x*y"), (1e200, 1e200), NumericOverflowError, "evaluation produced a non-finite value"),
+        (Add(parse("x"), "y"), (1.0, 2.0), TypeError, "not an expression node: 'y'"),
+        (Div(Add(parse("x"), "y"), parse("y")), (1.0, 0.0), DivisionByZeroError, "division by zero"),
+    ],
+)
+def test_refusals_are_the_walks(e, p, error, message):
+    assert _outcome(_walk_value, e, p) == (error, message)
+    with pytest.raises(error) as exc_info:
+        eval_value(e, p)
+    assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize("text", ["x", "0*x+1", "sin(y)+x", "exp(x)*y", "x^2", "ln(x)", "x^0.5"])
+def test_a_nan_input_ends_in_the_final_refusal(text):
+    # NaN passes every domain test (NaN <= 0.0 is false) and reaches the end.
+    e = parse(text)
+    with pytest.raises(NumericOverflowError, match="^evaluation produced a non-finite value$"):
+        eval_value(e, (math.nan, 0.5))
+    assert _outcome(_walk_value, e, (math.nan, 0.5)) == _outcome(eval_value, e, (math.nan, 0.5))
+
+
+def test_a_nan_to_the_power_zero_is_one():
+    assert eval_value(parse("x^0"), (math.nan, 0.5)) == _walk_value(parse("x^0"), (math.nan, 0.5)) == 1.0
 
 
 def test_fdconfig_defaults_and_validation():
@@ -78,6 +226,45 @@ def test_fd_jet_is_built_on_plain_evaluation_only():
     j = fd_jet(parse("sqrt(x^2+1)"), (0.3, 0.0))
     assert j.v == eval_value(parse("sqrt(x^2+1)"), (0.3, 0.0))
     assert j.dx == pytest.approx(0.3 / math.sqrt(1.09), abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "text", ["exp(0.3*x)*sin(y)+ln(2+x^2)/sqrt(3+y^2)", "x^3+y^3", "(x-2)^-2*cos(x*y)-x^2.5"]
+)
+def test_fd_jet_runs_without_the_jet_layer(monkeypatch, text):
+    import isocurv.expr as expr_module
+    import isocurv.jet as jet_module
+
+    p = (0.3, 0.4)
+    want = fd_jet(parse(text), p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the jet layer")
+
+    monkeypatch.setattr(jet_module, "Tape", refuse)
+    monkeypatch.setattr(expr_module, "compile_jet", refuse)
+    with pytest.raises(AssertionError, match="jet layer"):
+        eval_jet(parse(text), p)
+    got = fd_jet(parse(text), p)  # a new tree: its closures are built here
+    components = ("v", "dx", "dy", "dxx", "dxy", "dyy")
+    assert [getattr(got, c).hex() for c in components] == [getattr(want, c).hex() for c in components]
+
+
+def test_eval_value_keeps_a_slot_of_its_own():
+    # The oracle's callers alternate eval_jet and fd_jet on one tree: a
+    # shared cache slot would rebuild at every switch.
+    import isocurv.expr as expr_module
+    from isocurv import oracle as oracle_module
+
+    e = parse("x*y+1")
+    eval_jet(e, (1.0, 2.0))
+    kernel_slot = expr_module._last
+    fd_jet(e, (1.0, 2.0))
+    value_slot = oracle_module._last
+    eval_jet(e, (0.5, 0.5))
+    fd_jet(e, (0.5, 0.5))
+    assert expr_module._last is kernel_slot and oracle_module._last is value_slot
+    assert value_slot[0] is e
 
 
 def test_fd_order_improves_under_refinement():
