@@ -7,6 +7,7 @@ whose import and per-class code generation each process would pay at start.
 """
 
 import math
+from operator import attrgetter
 
 
 def record(cls):
@@ -22,22 +23,32 @@ def record(cls):
     body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
     defaults.update((n, body.pop(n)) for n in own if n in body)
     params = ", ".join(f"{n}=_d[{n!r}]" if n in defaults else n for n in names)
-    key = "".join(f"self.{n}," for n in names if n not in getattr(cls, "_uncompared", ()))
-    # The fields are set through their slots' own setters, which bypass
-    # the frozen __setattr__ and cost less than object.__setattr__.
+    compared = [n for n in names if n not in getattr(cls, "_uncompared", ())]
+    # The key is the tuple a dataclass compares and hashes. attrgetter gives
+    # one for two or more names; a single value is wrapped, and none is ().
+    key = attrgetter(*compared) if compared else lambda rec: ()
+    if len(compared) == 1:
+        key = lambda rec, one=key: (one(rec),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    # Only __init__ is generated, so it keeps the record's signature. The
+    # fields are set through their slots' own setters, which bypass the
+    # frozen __setattr__ and cost less than object.__setattr__.
     namespace = {"_d": defaults}
     exec(
         f"def __init__(self, {params}):\n"
         + "".join(f"    _set_{n}(self, {n})\n" for n in names)
-        + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
-        + "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return ({key}) == ({key.replace('self.', 'other.')})\n"
-        "    return NotImplemented\n"
-        f"def __hash__(self):\n    return hash(({key}))\n",
+        + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""),
         namespace,
     )
-    body.update(((k, namespace[k]) for k in ("__init__", "__eq__", "__hash__")),
+    body.update(__init__=namespace["__init__"], __eq__=__eq__, __hash__=__hash__,
                 __slots__=own, __match_args__=names, __qualname__=cls.__qualname__,
                 __repr__=_repr, __setattr__=_frozen, __delattr__=_frozen, __reduce__=_reduce)
     cls = type(cls)(cls.__name__, cls.__bases__, body)

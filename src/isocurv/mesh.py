@@ -51,9 +51,26 @@ def build_mesh(
 
 
 def write_obj(surface: Expr, domain: GridDomain, path: str) -> MeshStats:
-    """Write the sampled surface as a Wavefront OBJ (no normals, no UVs)."""
+    """Write the sampled surface as a Wavefront OBJ (no normals, no UVs):
+    one `v x y z` line per vertex, then one `f a b c` line per triangle,
+    every float its repr. The file is written one grid row at a time."""
     vertices, triangles = build_mesh(surface, domain)
+    # Rows hold m vertices each and share the kept columns' x; every row
+    # pair has the faces of the first pair, whose cells start at k = a - 1.
+    n, m = len(vertices), len(vertices) // domain.ny
+    heads = [f"v {x!r} " for x, _, _ in vertices[:m]]
+    cells = [a - 1 for a, _, _ in triangles[: len(triangles) // (domain.ny - 1) : 2]]
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(f"v {x!r} {y!r} {z!r}\n" for x, y, z in vertices)
-        fh.writelines(f"f {a} {b} {c}\n" for a, b, c in triangles)
-    return MeshStats(n_vertices=len(vertices), n_triangles=len(triangles))
+        for r in range(0, n, m):
+            y = f"{vertices[r][1]!r} "
+            fh.write("".join([f"{h}{y}{v[2]!r}\n" for h, v in zip(heads, vertices[r : r + m])]))
+        # Each vertex number is formatted once, for the rows above and below it.
+        low = list(map(str, range(1, m + 1)))
+        for r in range(m, n, m):
+            up = list(map(str, range(r + 1, r + m + 1)))
+            fh.write("".join([
+                f"f {low[k]} {low[k + 1]} {up[k]}\nf {low[k + 1]} {up[k + 1]} {up[k]}\n"
+                for k in cells
+            ]))
+            low = up
+    return MeshStats(n_vertices=n, n_triangles=len(triangles))

@@ -720,6 +720,15 @@ def test_mesh_from_spec_excludes_the_pole(capsys, tmp_path):
     assert report["surface"] == "-(1/(1*x)+0.5)*(1*y^2)"
 
 
+def test_mesh_failing_node_leaves_no_file(capsys, tmp_path):
+    # The mesh is built before the file is opened, so an error writes nothing.
+    out = tmp_path / "never.obj"
+    code, report, err = run_cli(capsys, "mesh", "--surface", "ln(x)", "--grid", "3,3", "--out", str(out))
+    assert code == 2 and report is None
+    assert "at (x, y) = (-1.0, -1.0)" in err
+    assert not out.exists()
+
+
 def test_mesh_surface_and_spec_are_exclusive(tmp_path):
     with pytest.raises(SystemExit) as exc_info:
         main(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -131,3 +132,62 @@ def test_heights_without_integer_powers_equal_eval_value():
     vertices, _ = build_mesh(_MIXED, _GAP)
     for x, y, z in vertices:
         assert z.hex() == eval_value(_MIXED, (x, y)).hex()
+
+
+def _old_write_obj(surface, domain, path):
+    """The per-vertex writer that write_obj replaced, kept verbatim: the
+    bytes it wrote are the OBJ contract."""
+    vertices, triangles = build_mesh(surface, domain)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(f"v {x!r} {y!r} {z!r}\n" for x, y, z in vertices)
+        fh.writelines(f"f {a} {b} {c}\n" for a, b, c in triangles)
+    return MeshStats(n_vertices=len(vertices), n_triangles=len(triangles))
+
+
+# Tiny coordinates and a huge y give exponent reprs, and 1e-20 * 0.0 * y
+# a negative zero where y < 0.
+_TINY = GridDomain(x_min=-3e-05, x_max=3e-05, y_min=-1e16, y_max=1e16, nx=3, ny=4)
+# The middle of three columns excluded: no two kept columns are adjacent.
+_SPLIT = GridDomain(nx=3, ny=3, exclusion_radius=0.1, singular_loci=(VerticalLine(0.0),))
+
+
+@pytest.mark.parametrize(
+    "surface, domain, counts",
+    [
+        (_MIXED, GridDomain(nx=41, ny=41), (1681, 3200)),
+        (_MIXED, _GAP, (28, 30)),
+        (parse("x*y"), GridDomain(nx=2, ny=2), (4, 2)),
+        (parse("1e-20*x*y"), _TINY, (12, 12)),
+        (parse("x*y"), _SPLIT, (6, 0)),
+    ],
+    ids=["mixed-41", "gap", "2x2", "tiny", "split"],
+)
+def test_obj_bytes_match_the_per_vertex_writer(tmp_path, surface, domain, counts):
+    want, got = tmp_path / "want.obj", tmp_path / "got.obj"
+    stats = write_obj(surface, domain, str(got))
+    assert stats == _old_write_obj(surface, domain, str(want))
+    assert (stats.n_vertices, stats.n_triangles) == counts
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_tiny_case_writes_negative_zeros_and_exponents(tmp_path):
+    path = tmp_path / "tiny.obj"
+    write_obj(parse("1e-20*x*y"), _TINY, str(path))
+    text = path.read_text(encoding="ascii")
+    assert " -0.0\n" in text and "e-05 " in text and "e+16 " in text and "e-09\n" in text
+
+
+def test_writer_memory_is_bounded_by_a_row(tmp_path):
+    # The writer holds one row of text at a time: its peak above the mesh
+    # lists' own stays far below the ~5 MB a whole 201^2 file's lines take.
+    domain = GridDomain(nx=201, ny=201)
+    tracemalloc.start()
+    try:
+        build_mesh(_MIXED, domain)
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        write_obj(_MIXED, domain, str(tmp_path / "big.obj"))
+        _, written = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert written - built < 1 << 20
