@@ -171,27 +171,12 @@ def _report(
     }
 
 
-def _domain_from_args(args, loci: tuple[VerticalLine, ...] = ()) -> GridDomain:
-    x_min, x_max, y_min, y_max = args.domain
-    nx, ny = args.grid
-    return GridDomain(
-        x_min=x_min,
-        x_max=x_max,
-        y_min=y_min,
-        y_max=y_max,
-        nx=nx,
-        ny=ny,
-        exclusion_radius=args.exclusion,
-        singular_loci=tuple(loci),
-    )
-
-
-def _domain_params(domain: GridDomain) -> dict:
-    return {
-        "domain": [domain.x_min, domain.x_max, domain.y_min, domain.y_max],
-        "grid": [domain.nx, domain.ny],
-        "exclusion_radius": domain.exclusion_radius,
-    }
+def _domain(args, params: dict, loci: tuple[VerticalLine, ...] = ()) -> GridDomain:
+    """The grid that the domain flags give, avoiding loci; the flags also
+    go into params."""
+    domain = GridDomain(*args.domain, *args.grid, args.exclusion, loci)
+    params.update(domain=list(args.domain), grid=list(args.grid), exclusion_radius=args.exclusion)
+    return domain
 
 
 def cmd_eval(args) -> dict:
@@ -223,10 +208,9 @@ def cmd_scan(args) -> dict:
     )
 
     surface = parse(args.surface)
-    domain = _domain_from_args(args)
-    tol = args.tol if args.tol is not None else DEFAULT_SCAN_TOL[args.residual]
     params: dict = {"residual": args.residual}
-    params.update(_domain_params(domain))
+    domain = _domain(args, params)
+    tol = args.tol if args.tol is not None else DEFAULT_SCAN_TOL[args.residual]
     if args.residual == "lw":
         if args.a is None or args.b is None or args.c is None:
             raise _UsageError("lw residual needs --a, --b, and --c")
@@ -253,32 +237,35 @@ def cmd_scan(args) -> dict:
     )
 
 
-def _load_spec(path: str):
-    from .cli import spec_from_dict
+def _load_spec(path: str, params: dict):
+    """The family spec in the JSON file at path, its surface and its
+    singular loci; the spec also goes into params."""
+    from .cli import build, singular_loci, spec_from_dict, spec_to_dict
 
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return spec_from_dict(data)
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise json.JSONDecodeError("arrays or objects nest too deeply", text, 0) from None
+    spec = spec_from_dict(data)
+    params["spec"] = spec_to_dict(spec)
+    return spec, build(spec), singular_loci(spec)
 
 
 def cmd_verify_family(args) -> dict:
     from .cli import (
         Case31Candidate,
-        build,
         case31_contradiction_scan,
         case31_rounding_bound,
         predict,
-        singular_loci,
-        spec_to_dict,
         to_string,
         verify_family,
     )
 
-    spec = _load_spec(args.spec)
-    surface = build(spec)
-    domain = _domain_from_args(args, singular_loci(spec))
-    params: dict = {"spec": spec_to_dict(spec)}
-    params.update(_domain_params(domain))
+    params: dict = {}
+    spec, surface, loci = _load_spec(args.spec, params)
+    domain = _domain(args, params, loci)
     if isinstance(spec, Case31Candidate):
         xs = [x for x in domain.xs() if domain.included(x, domain.y_min)]
         report = case31_contradiction_scan(spec, args.n0, xs)
@@ -382,19 +369,12 @@ def cmd_ode(args) -> dict:
 def cmd_mesh(args) -> dict:
     from .cli import parse, to_string, write_obj
 
-    loci: tuple[VerticalLine, ...] = ()
     params: dict = {}
     if args.spec is not None:
-        from .cli import build, singular_loci, spec_to_dict
-
-        spec = _load_spec(args.spec)
-        surface = build(spec)
-        loci = singular_loci(spec)
-        params["spec"] = spec_to_dict(spec)
+        _, surface, loci = _load_spec(args.spec, params)
     else:
-        surface = parse(args.surface)
-    domain = _domain_from_args(args, loci)
-    params.update(_domain_params(domain))
+        surface, loci = parse(args.surface), ()
+    domain = _domain(args, params, loci)
     stats = write_obj(surface, domain, args.out)
     result = {**asdict(stats), "obj": args.out}
     return _report("mesh", to_string(surface), params, result, None, {})

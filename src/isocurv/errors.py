@@ -75,11 +75,6 @@ def asdict(rec) -> dict:
     return {n: getattr(rec, n) for n in rec.__match_args__}
 
 
-def replace(rec, **changes):
-    """A new record of rec's class with the given fields changed."""
-    return rec.__class__(**{**asdict(rec), **changes})
-
-
 def require_finite(record, *names: str) -> None:
     """Raise ValueError naming the first of record's fields that is not a
     finite number."""

@@ -112,6 +112,19 @@ Expr = Union[Const, Var, Neg, Add, Sub, Mul, Div, Pow, Exp, Ln, Sin, Cos, Sqrt]
 
 _FUNCS = {"exp": Exp, "ln": Ln, "sin": Sin, "cos": Cos, "sqrt": Sqrt}
 
+# The binary operators by symbol, and the precedence level of each operator
+# class: the parser chains operators level by level, and the printer
+# parenthesizes a subtree whose level is below the one its place demands.
+# Atoms and function calls, absent here, are above every level.
+_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+_LEVEL = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
+_SYMBOL = {cls: symbol for symbol, cls in _BINARY.items()}
+_ATOM = 5
+
+# The most nesting levels parse accepts (see _Parser), so that every tree it
+# gives can be printed, compared, hashed and compiled.
+MAX_DEPTH = 100
+
 
 def num(value: float) -> Expr:
     """Constant in parse normal form: negatives become Neg(Const(+v))."""
@@ -169,6 +182,13 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent over the grammar above. Every parse_* method returns
+    its subtree with the subtree's height in nesting levels: each binary
+    operator, unary minus, exponent level, parenthesis and function adds one
+    over the highest of its operands. depth counts the levels that the
+    parser has entered above, so that it refuses a nest before it recurses
+    through it."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
@@ -187,39 +207,44 @@ class _Parser:
             raise ParseError(f"expected {what}", tok.offset)
         return self.advance()
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.parse_term()
-            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
-        return node
+    @staticmethod
+    def nest(levels: int, tok: _Token) -> int:
+        """One level more than levels, refused past MAX_DEPTH at tok."""
+        if levels >= MAX_DEPTH:
+            raise ParseError("expression nests too deeply", tok.offset)
+        return levels + 1
 
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek().kind in ("*", "/"):
+    def parse_binary(self, depth: int, level: int = _LEVEL[Add]) -> tuple[Expr, int]:
+        """A left-associative chain of the binary operators of one level,
+        whose operands are chains of the next level, or unaries past the last."""
+        if level > _LEVEL[Mul]:
+            return self.parse_unary(depth)
+        node, height = self.parse_binary(depth, level + 1)
+        while _LEVEL.get(_BINARY.get(self.peek().kind)) == level:
             op = self.advance()
-            rhs = self.parse_unary()
-            node = Mul(node, rhs) if op.kind == "*" else Div(node, rhs)
-        return node
+            rhs, rhs_height = self.parse_binary(depth, level + 1)
+            node, height = _BINARY[op.kind](node, rhs), self.nest(max(height, rhs_height), op)
+        return node, height
 
-    def parse_unary(self) -> Expr:
-        if self.peek().kind == "-":
+    def parse_unary(self, depth: int) -> tuple[Expr, int]:
+        tok = self.peek()
+        if tok.kind == "-":
             self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+            arg, height = self.parse_unary(self.nest(depth, tok))
+            return Neg(arg), self.nest(height, tok)
+        return self.parse_power(depth)
 
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
+    def parse_power(self, depth: int) -> tuple[Expr, int]:
+        base, height = self.parse_atom(depth)
         if self.peek().kind == "^":
             caret = self.advance()
-            exponent = self.parse_exponent(caret.offset)
+            exponent, levels = self.parse_exponent(caret.offset, self.nest(depth, caret))
             if not math.isfinite(exponent):
                 raise ParseError("exponent does not fold to a real constant", caret.offset)
-            return Pow(base, exponent)
-        return base
+            return Pow(base, exponent), self.nest(max(height, levels), caret)
+        return base, height
 
-    def parse_exponent(self, caret_offset: int) -> float:
+    def parse_exponent(self, caret_offset: int, depth: int) -> tuple[float, int]:
         # Exponents fold to a constant at parse time; anything symbolic in
         # exponent position is a parse error, reported at the caret.
         negate = False
@@ -229,46 +254,48 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
-            value = self.parse_exponent(caret_offset)
+            value, height = self.parse_exponent(caret_offset, self.nest(depth, tok))
+            height = self.nest(height, tok)
             self.expect(")", "')' closing the exponent")
         elif tok.kind == "num":
             self.advance()
-            value = float(tok.text)
+            value, height = float(tok.text), 0
         else:
             raise ParseError("exponent must be a numeric constant", tok.offset)
         if self.peek().kind == "^":
-            self.advance()
-            rhs = self.parse_exponent(caret_offset)
+            caret = self.advance()
+            rhs, rhs_height = self.parse_exponent(caret_offset, self.nest(depth, caret))
+            height = self.nest(max(height, rhs_height), caret)
             try:
                 value = math.pow(value, rhs)
             except (ValueError, OverflowError):
                 raise ParseError("exponent does not fold to a real constant",
                                  caret_offset) from None
-        return -value if negate else value
+        return (-value if negate else value), height
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self, depth: int) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Const(float(tok.text))
+            return Const(float(tok.text)), 0
         if tok.kind == "ident":
             self.advance()
             if tok.text in ("x", "y"):
-                return Var(tok.text)
+                return Var(tok.text), 0
             ctor = _FUNCS.get(tok.text)
             if ctor is None:
                 raise UnknownIdentifierError(
                     f"unknown identifier {tok.text!r}", tok.offset
                 )
             self.expect("(", f"'(' after {tok.text}")
-            arg = self.parse_expr()
+            arg, height = self.parse_binary(self.nest(depth, tok))
             self.expect(")", "')'")
-            return ctor(arg)
+            return ctor(arg), self.nest(height, tok)
         if tok.kind == "(":
             self.advance()
-            node = self.parse_expr()
+            node, height = self.parse_binary(self.nest(depth, tok))
             self.expect(")", "')'")
-            return node
+            return node, self.nest(height, tok)
         raise ParseError("expected a number, variable, or '('", tok.offset)
 
 
@@ -277,7 +304,7 @@ def parse(text: str) -> Expr:
     if tokens[0].kind == "end":
         raise ParseError("empty expression", 0)
     parser = _Parser(tokens)
-    node = parser.parse_expr()
+    node, _ = parser.parse_binary(0)
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"unexpected {trailing.text!r}", trailing.offset)
@@ -286,59 +313,31 @@ def parse(text: str) -> Expr:
 
 # -- printer -----------------------------------------------------------------
 
-# Precedence levels; a subtree is parenthesized when its level is below the
-# minimum its context demands.
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
-
 def _fmt_float(v: float) -> str:
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
 
-def _prec(e: Expr) -> int:
-    match e:
-        case Add() | Sub():
-            return _PREC_ADD
-        case Mul() | Div():
-            return _PREC_MUL
-        case Neg():
-            return _PREC_NEG
-        case Pow():
-            return _PREC_POW
-        case _:
-            return _PREC_ATOM
-
-
-def _print(e: Expr, min_prec: int) -> str:
+def _print(e: Expr, min_level: int) -> str:
     match e:
         case Const(value=v):
             body = _fmt_float(v)
         case Var(name=name):
             body = name
         case Neg(arg=a):
-            body = "-" + _print(a, _PREC_NEG)
-        case Add(left=l, right=r):
-            body = _print(l, _PREC_ADD) + "+" + _print(r, _PREC_ADD + 1)
-        case Sub(left=l, right=r):
-            body = _print(l, _PREC_ADD) + "-" + _print(r, _PREC_ADD + 1)
-        case Mul(left=l, right=r):
-            body = _print(l, _PREC_MUL) + "*" + _print(r, _PREC_MUL + 1)
-        case Div(left=l, right=r):
-            body = _print(l, _PREC_MUL) + "/" + _print(r, _PREC_MUL + 1)
+            body = "-" + _print(a, _LEVEL[Neg])
+        case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) | Div(left=l, right=r):
+            level = _LEVEL[type(e)]
+            body = _print(l, level) + _SYMBOL[type(e)] + _print(r, level + 1)
         case Pow(base=b, exponent=ex):
-            body = _print(b, _PREC_ATOM) + "^" + _fmt_float(ex)
+            body = _print(b, _ATOM) + "^" + _fmt_float(ex)
         case Exp(arg=a) | Ln(arg=a) | Sin(arg=a) | Cos(arg=a) | Sqrt(arg=a):
             # Each function's class is its name capitalized (see _FUNCS).
             body = f"{type(e).__name__.lower()}({_print(a, 0)})"
         case _:
             raise TypeError(f"not an expression node: {e!r}")
-    if _prec(e) < min_prec:
+    if _LEVEL.get(type(e), _ATOM) < min_level:
         return f"({body})"
     return body
 

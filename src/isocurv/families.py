@@ -30,7 +30,6 @@ from .errors import (
     SingularPointError,
     asdict,
     record,
-    replace,
     require_nonzero,
 )
 from .expr import Add, Const, Div, Expr, Mul, Neg, Pow, Sub, Var, eval_jet, num
@@ -131,8 +130,8 @@ class FamilyPrediction:
     """Constant invariants a family should exhibit, plus (when one exists)
     a linear Weingarten triple the surface satisfies identically."""
 
-    K_expected: Optional[float]
-    H_expected: Optional[float]
+    K_expected: float
+    H_expected: float
     lw: Optional[LWParams]
 
 
@@ -252,9 +251,8 @@ def predict(spec: FamilySpec) -> Optional[FamilyPrediction]:
 def verify_family(spec: FamilySpec, domain: Optional[GridDomain] = None) -> ResidualReport:
     """Max deviation of sampled (K, H) from the family's predicted constants.
 
-    The family's singular loci are merged into the domain before scanning.
-    Raises NoConstantPrediction for Case31Candidate; use the contradiction
-    scan for that kind.
+    Raises NoConstantPrediction for Case31Candidate, the one kind with
+    singular loci; use the contradiction scan for that kind.
     """
     prediction = predict(spec)
     if prediction is None:
@@ -264,17 +262,13 @@ def verify_family(spec: FamilySpec, domain: Optional[GridDomain] = None) -> Resi
     surface = build(spec)
     if domain is None:
         domain = GridDomain()
-    loci = singular_loci(spec)
-    if loci:
-        domain = replace(domain, singular_loci=domain.singular_loci + loci)
-
     k_exp = prediction.K_expected
     h_exp = prediction.H_expected
 
     def deviation(s: Expr, x: float, y: float) -> float:
         pair = curvatures(eval_jet(s, (x, y)))
-        dk = abs(pair.K - k_exp) if k_exp is not None else 0.0
-        dh = abs(pair.H - h_exp) if h_exp is not None else 0.0
+        dk = abs(pair.K - k_exp)
+        dh = abs(pair.H - h_exp)
         # max(dk, dh) would drop a NaN dh; summarize refuses a NaN by its node.
         return dh if dh > dk or dh != dh else dk
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -182,6 +183,40 @@ def test_negative_numbers_in_exponent_form_are_values(capsys, argv, key, value):
     code, report, err = run_cli(capsys, *argv.split())
     assert code in (0, 1) and err == ""
     assert report["params"][key] == value
+
+
+def test_a_surface_that_starts_with_minus_needs_the_equals_form(capsys):
+    # argparse reads a token after an option that starts with '-' and is
+    # not a number as an option.
+    with pytest.raises(SystemExit) as exc_info:
+        main(["eval", "--surface", "-x*y", "--at", "1,2"])
+    assert exc_info.value.code == 2
+    assert capsys.readouterr().out == ""
+    code, report, err = run_cli(capsys, "eval", "--surface=-x*y", "--at", "1,2")
+    assert (code, report["surface"], report["result"]["jet"]["v"], err) == (0, "-x*y", -2.0, "")
+
+
+@pytest.mark.parametrize(
+    "surface",
+    ["(" * 250 + "x" + ")" * 250, "x" + "+x" * 999, "-" * 1000 + "x"],
+    ids=["parentheses", "sum", "unary minus"],
+)
+@pytest.mark.parametrize("command", ["eval --at 0.5,0.5", "scan --residual euler --grid 3,3"])
+def test_a_surface_that_nests_too_deeply_is_an_error(capsys, command, surface):
+    code, report, err = run_cli(capsys, *command.split(), f"--surface={surface}")
+    assert (code, report) == (2, None)
+    assert re.fullmatch(r"error: expression nests too deeply \(offset \d+\)\n", err)
+
+
+@pytest.mark.parametrize("command", ["verify-family", "mesh --out {out}"])
+def test_a_spec_that_nests_too_deeply_is_invalid_json(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    argv = command.format(out=tmp_path / "mesh.obj").split()
+    code, report, err = run_cli(capsys, *argv, "--spec", str(path))
+    assert (code, report) == (2, None)
+    assert err.startswith("error: invalid JSON in family spec: ") and err.count("\n") == 1
+    assert not (tmp_path / "mesh.obj").exists()
 
 
 @pytest.mark.parametrize(
@@ -567,6 +602,13 @@ def test_ode_missing_rhs_parameters(capsys):
     )
     assert code == 2
     assert "--c3 and --m0" in err
+
+
+def test_ode_saturated_linear_needs_c5(capsys):
+    code, report, err = run_cli(
+        capsys, *"ode --ode saturated-linear --f0 1 --fp0 0 --t-end 1 --step 0.1".split()
+    )
+    assert (code, report, err) == (2, None, "error: saturated-linear needs --c5\n")
 
 
 def test_ode_oracle_flags_must_pair(capsys):

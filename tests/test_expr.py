@@ -156,7 +156,48 @@ def test_exponent_fold_failures_point_at_caret():
     expect_parse_error("x^9e300^2", 1)
 
 
+# Each form nests n levels: a level is a parenthesis, a function, a unary
+# minus, a binary operator or an exponent.
+NESTS = {
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+    "functions": lambda n: "sin(" * n + "x" + ")" * n,
+    "unary minus": lambda n: "-" * n + "x",
+    "sum": lambda n: "x" + "+x" * n,
+    "product": lambda n: "y" + "*y" * n,
+    "exponents": lambda n: "x" + "^1" * n,
+    "exponent parentheses": lambda n: "x^" + "(" * (n - 1) + "2" + ")" * (n - 1),
+    # The left operand of a chain ends up under every operator of it.
+    "left operand": lambda n: "(" * (n // 2) + "x" + ")" * (n // 2) + "-y" * (n - n // 2),
+}
+
+
+@pytest.mark.parametrize("form", NESTS.values(), ids=NESTS)
+def test_nesting_is_bounded(form):
+    tree = parse(form(expr_module.MAX_DEPTH))
+    with pytest.raises(ParseError, match=r"^expression nests too deeply \(offset \d+\)$"):
+        parse(form(expr_module.MAX_DEPTH + 1))
+    # The deepest tree parse accepts goes through every recursive walk.
+    copy = parse(to_string(tree))
+    assert copy == tree and hash(copy) == hash(tree) and repr(copy) == repr(tree)
+    for order in (0, 2, 3):
+        expr_module.compile_jet(tree, order)(0.5, 0.25)
+    assert math.isfinite(eval_value(tree, (0.5, 0.25)))
+
+
+def test_nesting_error_points_at_the_first_level_too_many():
+    n = expr_module.MAX_DEPTH
+    expect_parse_error("(" * (n + 1) + "x" + ")" * (n + 1), n)
+    expect_parse_error("x" + "+x" * (n + 1), 2 * n + 1)
+    expect_parse_error("-" * 1000 + "x", n)
+
+
 # -- printing ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("walk", [to_string, variables, expr_module.compile_jet])
+def test_walks_refuse_what_is_not_a_node(walk):
+    with pytest.raises(TypeError, match="not an expression node: 'y'"):
+        walk(Add(Var("x"), "y"))
 
 
 def test_minimal_parentheses():

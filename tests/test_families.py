@@ -213,6 +213,12 @@ def test_verify_family_empty_domain():
         verify_family(SPEC_A, blocked)
 
 
+@pytest.mark.parametrize("fn", [build, predict])
+def test_what_is_not_a_spec_is_refused(fn):
+    with pytest.raises(InvalidSpecError, match="not a family spec: GridDomain"):
+        fn(GridDomain())
+
+
 def test_singular_loci():
     assert singular_loci(SPEC_A) == ()
     assert singular_loci(SPEC_C) == ()

@@ -228,11 +228,3 @@ def test_copy_and_pickle_round_trip(cls):
     r = cls(*SAMPLES[cls])
     for other in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
         assert type(other) is cls and repr(other) == repr(r) and other == r
-
-
-def test_replace_builds_a_validated_record():
-    g = domain.GridDomain(nx=3)
-    assert errors.replace(g, ny=5) == domain.GridDomain(nx=3, ny=5)
-    assert g.ny == 101
-    with pytest.raises(ValueError, match="grid needs at least 2 nodes per axis"):
-        errors.replace(g, nx=1)
