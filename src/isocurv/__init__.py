@@ -48,7 +48,7 @@ _EXPORTS = {
         "linear_force_solution", "shifted_reciprocal_residual",
         "shifted_reciprocal_solution",
     ),
-    "oracle": ("FDConfig", "JetComparison", "compare", "eval_value", "fd_jet"),
+    "oracle": ("JetComparison", "compare", "eval_value", "fd_jet"),
     "weingarten": (
         "LWParams", "NormalizedLW", "ResidualReport", "euler_residual",
         "euler_residual_fn", "jacobian_residual_fn", "lw_residual", "lw_residual_fn",

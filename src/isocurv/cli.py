@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from . import __getattr__ as _package_name
 from .domain import DEFAULT_EXCLUSION_RADIUS, GridDomain, VerticalLine
-from .errors import IsocurvError, asdict
+from .errors import IsocurvError, asdict, require_finite
 
 
 def __getattr__(name: str):
@@ -267,7 +267,7 @@ def cmd_verify_family(args) -> dict:
     spec, surface, loci = _load_spec(args.spec, params)
     domain = _domain(args, params, loci)
     if isinstance(spec, Case31Candidate):
-        xs = [x for x in domain.xs() if domain.included(x, domain.y_min)]
+        xs = [x for _, x in domain.columns()]
         report = case31_contradiction_scan(spec, args.n0, xs)
         # A spread within rounding of a constant shows nothing.
         noise = case31_rounding_bound(spec, args.n0, xs)
@@ -275,28 +275,16 @@ def cmd_verify_family(args) -> dict:
         params["n0"] = args.n0
         result = report.to_dict()
         result["check"] = "contradiction_scan"
-        return _report(
-            "verify-family",
-            to_string(surface),
-            params,
-            result,
-            passed,
-            {"min_samples": 3},
-        )
-    prediction = predict(spec)
-    report = verify_family(spec, domain)
-    passed = report.max_abs <= args.tol
-    result = report.to_dict()
-    result["check"] = "constant_invariants"
-    result["predicted"] = {"K": prediction.K_expected, "H": prediction.H_expected}
-    return _report(
-        "verify-family",
-        to_string(surface),
-        params,
-        result,
-        passed,
-        {"family": args.tol},
-    )
+        tolerances = {"min_samples": 3}
+    else:
+        prediction = predict(spec)
+        report = verify_family(spec, domain)
+        passed = report.max_abs <= args.tol
+        result = report.to_dict()
+        result["check"] = "constant_invariants"
+        result["predicted"] = {"K": prediction.K_expected, "H": prediction.H_expected}
+        tolerances = {"family": args.tol}
+    return _report("verify-family", to_string(surface), params, result, passed, tolerances)
 
 
 def cmd_ode(args) -> dict:
@@ -317,6 +305,7 @@ def cmd_ode(args) -> dict:
         if (args.oracle_c4 is None) != (args.oracle_d9 is None):
             raise _UsageError("--oracle-c4 and --oracle-d9 go together")
         if args.oracle_c4 is not None:
+            require_finite(args, "oracle_c4", "oracle_d9")
             c3, c4, d9, m0 = args.c3, args.oracle_c4, args.oracle_d9, args.m0
 
             def oracle(t: float) -> float:
@@ -332,6 +321,8 @@ def cmd_ode(args) -> dict:
             def oracle(t: float) -> float:
                 return linear_force_solution(c5, f0, fp0, t - t0)
 
+    if oracle is not None:
+        require_finite(args, "tol")  # the report holds it
     ivp = IVP(
         rhs=rhs, t0=args.t0, y0=args.f0, yp0=args.fp0, t_end=args.t_end, step=args.step
     )

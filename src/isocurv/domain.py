@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import record, require_finite
+from .errors import EmptyDomainError, record, require_finite
 
 DEFAULT_EXCLUSION_RADIUS = 1e-2
 # Bounds the work and memory of one grid: scans and meshes visit every node.
@@ -53,6 +53,14 @@ class GridDomain:
     def ys(self) -> list[float]:
         step = (self.y_max - self.y_min) / (self.ny - 1)
         return [self.y_min + j * step for j in range(self.ny)]
+
+    def columns(self) -> list[tuple[int, float]]:
+        """(i, x) of each kept grid column, in order. Every locus is a
+        vertical line, so a column is kept or dropped whole."""
+        kept = [(i, x) for i, x in enumerate(self.xs()) if self.included(x, self.y_min)]
+        if not kept:
+            raise EmptyDomainError("every grid node was excluded")
+        return kept
 
     def included(self, x: float, y: float) -> bool:
         for locus in self.singular_loci:

@@ -314,6 +314,8 @@ def parse(text: str) -> Expr:
 # -- printer -----------------------------------------------------------------
 
 def _fmt_float(v: float) -> str:
+    if math.isinf(v):
+        return "-1e999" if v < 0.0 else "1e999"  # parse reads 1e999 as inf
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)

@@ -209,8 +209,9 @@ def singular_loci(spec: FamilySpec) -> tuple[VerticalLine, ...]:
     return ()
 
 
-def predict(spec: FamilySpec) -> Optional[FamilyPrediction]:
-    """Constant invariants of the family, or None when it has none.
+def predict(spec: FamilySpec) -> FamilyPrediction:
+    """Constant invariants of the family. Case31Candidate has none and
+    raises NoConstantPredictionError; use the contradiction scan for it.
 
     CaseA/CaseB surfaces are flat with H = n0/m0 and satisfy the relation
     m0*H + K = n0 identically; that triple is returned so callers can check
@@ -239,7 +240,9 @@ def predict(spec: FamilySpec) -> Optional[FamilyPrediction]:
         case NonIsotropicPlane():
             prediction = FamilyPrediction(K_expected=0.0, H_expected=0.0, lw=None)
         case Case31Candidate():
-            return None
+            raise NoConstantPredictionError(
+                "family has no constant prediction; run the contradiction scan"
+            )
         case _:
             raise InvalidSpecError(f"not a family spec: {spec!r}")
     for name, value in (("K", prediction.K_expected), ("H", prediction.H_expected)):
@@ -251,14 +254,9 @@ def predict(spec: FamilySpec) -> Optional[FamilyPrediction]:
 def verify_family(spec: FamilySpec, domain: Optional[GridDomain] = None) -> ResidualReport:
     """Max deviation of sampled (K, H) from the family's predicted constants.
 
-    Raises NoConstantPrediction for Case31Candidate, the one kind with
-    singular loci; use the contradiction scan for that kind.
+    Raises NoConstantPredictionError for Case31Candidate, as predict does.
     """
     prediction = predict(spec)
-    if prediction is None:
-        raise NoConstantPredictionError(
-            "family has no constant prediction; run the contradiction scan"
-        )
     surface = build(spec)
     if domain is None:
         domain = GridDomain()
@@ -355,7 +353,7 @@ def spec_to_dict(spec: FamilySpec) -> dict:
 
 def spec_from_dict(data: object) -> FamilySpec:
     """Strict decoder: unknown kinds, unknown fields, missing fields, and
-    non-numeric values are all errors."""
+    non-numeric or non-finite values are all errors."""
     if not isinstance(data, dict):
         raise InvalidSpecError("family spec must be a JSON object")
     kind = data.get("kind")
@@ -376,9 +374,16 @@ def spec_from_dict(data: object) -> FamilySpec:
             detail.append(f"unknown {extra}")
         raise InvalidSpecError(f"bad fields for {kind}: " + ", ".join(detail))
     kwargs = {}
-    for name in expected:
+    for name in cls.__match_args__:
         value = data[name]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InvalidSpecError(f"field {name!r} must be a number")
-        kwargs[name] = float(value)
+        # json reads integers of any size, and NaN and Infinity, which
+        # RFC 8259 forbids.
+        try:
+            kwargs[name] = float(value)
+        except OverflowError:
+            kwargs[name] = math.inf
+        if not math.isfinite(kwargs[name]):
+            raise InvalidSpecError(f"field {name!r} must be finite")
     return cls(**kwargs)

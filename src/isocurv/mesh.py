@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .domain import GridDomain
-from .errors import EmptyDomainError, IsocurvError, record
+from .errors import IsocurvError, record
 from .expr import Expr, compile_jet
 
 
@@ -22,12 +22,8 @@ def build_mesh(
     surface's order-0 kernel; an error at a node is re-raised with the node
     named."""
     value = compile_jet(surface, 0)
-    # Every locus is a vertical line, so a column is kept or dropped whole.
-    grid_xs = domain.xs()
-    columns = [i for i, x in enumerate(grid_xs) if domain.included(x, domain.y_min)]
-    if not columns:
-        raise EmptyDomainError("every grid node was excluded")
-    xs = [grid_xs[i] for i in columns]
+    columns = domain.columns()
+    xs = [x for _, x in columns]
     vertices: list[tuple[float, float, float]] = []
     try:
         for y in domain.ys():
@@ -40,7 +36,7 @@ def build_mesh(
     # numbers come from one list, so the triangles share their ints.
     m = len(columns)
     ids = list(range(1, len(vertices) + 1))
-    cells = [k for k in range(m - 1) if columns[k + 1] == columns[k] + 1]
+    cells = [k for k in range(m - 1) if columns[k + 1][0] == columns[k][0] + 1]
     triangles: list[tuple[int, int, int]] = []
     for row in range(0, len(vertices) - m, m):
         for k in cells:

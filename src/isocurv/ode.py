@@ -47,6 +47,7 @@ class ShiftedReciprocalODE:
     m0: float
 
     def __post_init__(self):
+        require_finite(self, "c3", "m0")
         if self.c3 == 0.0:
             raise InvalidSpecError("shifted-reciprocal equation requires c3 != 0")
 
@@ -70,6 +71,7 @@ class SaturatedLinearODE:
     d10: float
 
     def __post_init__(self):
+        require_finite(self, "c5", "d10")
         if self.c5 == 0.0:
             raise InvalidSpecError("saturated-linear equation requires c5 != 0")
 

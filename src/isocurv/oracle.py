@@ -17,7 +17,6 @@ from .errors import (
     EvaluationDomainError,
     NumericOverflowError,
     record,
-    require_finite,
 )
 from .expr import Add, Const, Cos, Div, Exp, Expr, Ln, Mul, Neg, Pow, Sin, Sqrt, Sub, Var
 from .jet import Jet2
@@ -161,32 +160,22 @@ def eval_value(e: Expr, p: tuple[float, float]) -> float:
     return v
 
 
-@record
-class FDConfig:
-    """Stencil steps. First- and second-order stencils carry separate
-    defaults because roundoff cancellation grows with derivative order."""
-
-    h_first: float = 1e-4
-    h_second: float = 1e-3
-
-    def __post_init__(self):
-        require_finite(self, "h_first", "h_second")
-        for h in (self.h_first, self.h_second):
-            if not 1e-6 <= h <= 1e-2:
-                raise ValueError("stencil step must lie in [1e-6, 1e-2]")
+# Stencil steps of the first and second partials, read by each fd_jet call;
+# the second is larger because roundoff cancellation grows with the order.
+H_FIRST = 1e-4
+H_SECOND = 1e-3
 
 
-def fd_jet(s: Expr, p: tuple[float, float], cfg: FDConfig = FDConfig()) -> Jet2:
+def fd_jet(s: Expr, p: tuple[float, float]) -> Jet2:
     """Numerical jet of s at p.
 
     First partials use the five-point central first-derivative stencil
     (fourth order); pure second partials use the five-point second-derivative
     stencil; the mixed partial uses the four-point cross stencil. s must be
-    defined on the surrounding (2h)-ball.
+    defined on the surrounding (2h)-ball, h the larger step.
     """
     x, y = p
-    h1 = cfg.h_first
-    h2 = cfg.h_second
+    h1, h2 = H_FIRST, H_SECOND
 
     def f(px: float, py: float) -> float:
         return eval_value(s, (px, py))

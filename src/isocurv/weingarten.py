@@ -171,8 +171,7 @@ def scan_grid(surface: Expr, domain: GridDomain, residual: ResidualFn) -> Residu
     """Evaluate a residual on every included grid node, row by row in y, into
     one float each. An error at a node is re-raised naming it and the residual."""
     from array import array  # an extension module: eval need not load it
-    # Every locus is a vertical line, so a column is kept or dropped whole.
-    xs = [x for x in domain.xs() if domain.included(x, domain.y_min)]
+    xs = [x for _, x in domain.columns()]
     ys = domain.ys()
     values = array("d")
     try:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -20,8 +21,12 @@ def run_cli(capsys, *argv):
 
 
 def write_spec(tmp_path, name, payload):
+    return write_spec_text(tmp_path, name, json.dumps(payload))
+
+
+def write_spec_text(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -93,6 +98,13 @@ def test_eval_refuses_an_infinite_exponent(capsys, surface, offset):
     assert err == f"error: exponent does not fold to a real constant (offset {offset})\n"
 
 
+def test_eval_prints_an_infinite_constant(capsys):
+    code, report, err = run_cli(capsys, "eval", "--surface", "x+1e999^0", "--at", "1,1")
+    assert (code, err) == (0, "")
+    assert report["surface"] == "x+1e999^0"
+    assert report["result"]["jet"]["v"] == 2.0
+
+
 def test_eval_singularity_is_an_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--surface", "1/x", "--at", "0,0")
     assert code == 2
@@ -118,6 +130,10 @@ def test_non_finite_or_arithmetic_failure_is_refused(capsys, argv):
     assert err.count("\n") == 1  # one line, no traceback
 
 
+ODE_SR = "ode --ode shifted-reciprocal --c3 1 --m0 1 --f0 -1 --fp0 0.25 --t-end 1 --step 0.1 --out {out}"
+ODE_SL = "ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1 --step 0.1 --out {out}"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -136,14 +152,36 @@ def test_non_finite_or_arithmetic_failure_is_refused(capsys, argv):
         ("verify-family --spec {casec} --grid 3,3", "predicted K = -inf of CaseC overflows"),
         ("mesh --surface 1/x --grid 3,3 --exclusion 0 --out {out}",
          "division by a quantity with zero value at (x, y) = (0.0, -1.0)"),
+        # A non-finite constant is named before any file is written.
+        pytest.param(ODE_SR.replace("--m0 1", "--m0 inf"), "m0 must be finite", id="ode-m0"),
+        pytest.param(ODE_SR.replace("--c3 1", "--c3 nan"), "c3 must be finite", id="ode-c3"),
+        pytest.param(ODE_SL.replace("--c5 1", "--c5 -inf"), "c5 must be finite", id="ode-c5"),
+        pytest.param(ODE_SL + " --d10 inf", "d10 must be finite", id="ode-d10"),
+        pytest.param(ODE_SR + " --oracle-c4 inf --oracle-d9 2", "oracle_c4 must be finite", id="ode-oracle-c4"),
+        pytest.param(ODE_SR + " --oracle-c4 1 --oracle-d9 nan", "oracle_d9 must be finite", id="ode-oracle-d9"),
+        pytest.param(ODE_SR + " --oracle-c4 1 --oracle-d9 2 --tol nan", "tol must be finite", id="ode-tol-nan"),
+        pytest.param(ODE_SL + " --tol inf", "tol must be finite", id="ode-tol-inf"),
+        # Python's json reads Infinity, NaN and integers of any size.
+        pytest.param("mesh --spec {d9_inf} --out {out}", "field 'd9' must be finite", id="spec-infinity"),
+        pytest.param("mesh --spec {d9_nan} --out {out}", "field 'd9' must be finite", id="spec-nan"),
+        pytest.param("mesh --spec {d9_huge} --out {out}", "field 'd9' must be finite", id="spec-huge-int"),
+        pytest.param("verify-family --spec {c8_1e400}", "field 'c8' must be finite", id="spec-1e400"),
     ],
 )
 def test_non_finite_input_is_named(capsys, tmp_path, argv, message):
-    spec = write_spec(tmp_path, "spec.json", dict(CASE_31, c4=1e100, d8=1.0, d9=0.5))
-    casec = write_spec(tmp_path, "casec.json", {"kind": "CaseC", "c8": 1e200, "d15": 1.0, "c9": 3.0, "d16": 4.0})
-    out = tmp_path / "mesh.obj"
-    code, report, err = run_cli(capsys, *argv.format(spec=spec, casec=casec, out=out).split())
+    specs = {
+        "spec": json.dumps(dict(CASE_31, c4=1e100, d8=1.0, d9=0.5)),
+        "casec": '{"kind": "CaseC", "c8": 1e200, "d15": 1.0, "c9": 3.0, "d16": 4.0}',
+        "c8_1e400": '{"kind": "CaseC", "c8": 1e400, "d15": 1.0, "c9": 3.0, "d16": 4.0}',
+        "d9_inf": json.dumps(dict(CASE_31, d9=math.inf)),
+        "d9_nan": json.dumps(dict(CASE_31, d9=math.nan)),
+        "d9_huge": json.dumps(dict(CASE_31, d9=10**400)),
+    }
+    paths = {name: write_spec_text(tmp_path, f"{name}.json", text) for name, text in specs.items()}
+    out = tmp_path / "out"
+    code, report, err = run_cli(capsys, *argv.format(out=out, **paths).split())
     assert (code, report, err) == (2, None, f"error: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -455,6 +493,12 @@ def test_verify_family_contradiction_within_rounding_fails(capsys, tmp_path, n0)
     assert report["pass"] is False
     assert report["result"]["n_samples"] == 3
     assert 0.0 < report["result"]["std_dev"] < 1e-15
+
+
+def test_verify_family_contradiction_with_every_column_excluded(capsys, tmp_path):
+    spec_path = write_spec(tmp_path, "c31.json", CASE_31)
+    code, report, err = run_cli(capsys, "verify-family", "--spec", spec_path, "--exclusion", "5")
+    assert (code, report, err) == (2, None, "error: every grid node was excluded\n")
 
 
 def test_verify_family_malformed_json(capsys, tmp_path):

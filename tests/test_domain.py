@@ -3,10 +3,11 @@ import pytest
 from isocurv import (
     DEFAULT_EXCLUSION_RADIUS,
     IVP,
-    FDConfig,
+    EmptyDomainError,
     GridDomain,
     LWParams,
     SaturatedLinearODE,
+    ShiftedReciprocalODE,
     VerticalLine,
 )
 
@@ -39,7 +40,8 @@ def test_non_finite_fields_are_named(bad):
     cases = [(GridDomain, {}, name) for name in ("x_min", "x_max", "y_min", "y_max", "exclusion_radius")]
     cases += [(LWParams, dict(a=1.0, b=1.0, c=1.0), name) for name in ("a", "b", "c")]
     cases += [(IVP, ivp, name) for name in ("t0", "y0", "yp0", "t_end", "step")]
-    cases += [(FDConfig, {}, name) for name in ("h_first", "h_second")]
+    cases += [(ShiftedReciprocalODE, dict(c3=1.0, m0=1.0), name) for name in ("c3", "m0")]
+    cases += [(SaturatedLinearODE, dict(c5=1.0, d10=0.0), name) for name in ("c5", "d10")]
     for cls, fields, name in cases:
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             cls(**{**fields, name: bad})
@@ -93,3 +95,37 @@ def test_multiple_loci_combine():
     assert not d.included(-0.4, 0.9)
     assert not d.included(0.5, 0.2)
     assert d.included(0.0, 0.0)
+
+
+def test_columns_keep_pairs_around_a_gap():
+    d = GridDomain(nx=5, ny=2, exclusion_radius=0.3, singular_loci=(VerticalLine(0.0),))
+    assert d.columns() == [(0, -1.0), (1, -0.5), (3, 0.5), (4, 1.0)]
+    assert GridDomain(nx=3, ny=2).columns() == [(0, -1.0), (1, 0.0), (2, 1.0)]
+
+
+def test_columns_drop_a_locus_on_a_node_at_radius_zero():
+    d = GridDomain(nx=3, ny=2, singular_loci=(VerticalLine(0.0),))
+    assert d.exclusion_radius == 0.0
+    assert d.columns() == [(0, -1.0), (2, 1.0)]
+    off_node = GridDomain(nx=3, ny=2, singular_loci=(VerticalLine(1e-300),))
+    assert off_node.columns() == [(0, -1.0), (1, 0.0), (2, 1.0)]
+
+
+def test_columns_refuse_a_grid_with_every_column_excluded():
+    d = GridDomain(nx=4, ny=2, exclusion_radius=2.0, singular_loci=(VerticalLine(0.0),))
+    with pytest.raises(EmptyDomainError, match="^every grid node was excluded$"):
+        d.columns()
+
+
+def test_columns_ask_included_once_per_column(monkeypatch):
+    calls = []
+    included = GridDomain.included
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return included(self, x, y)
+
+    monkeypatch.setattr(GridDomain, "included", counting)
+    d = GridDomain(nx=6, ny=4, y_min=-2.0, exclusion_radius=0.1, singular_loci=(VerticalLine(0.2),))
+    assert len(d.columns()) == 5
+    assert calls == [(x, -2.0) for x in d.xs()]

@@ -239,6 +239,19 @@ def test_round_trip_examples():
         assert parse(to_string(tree)) == tree
 
 
+@pytest.mark.parametrize(
+    "text", ["1e999*x", "(1e999-1e999)*x", "x+1e999^0", "-1e999*x"]
+)
+def test_an_infinite_constant_prints_as_1e999(text):
+    tree = parse(text)
+    assert to_string(tree) == text
+    assert parse(to_string(tree)) == tree
+
+
+def test_a_negative_infinite_constant_prints_as_minus_1e999():
+    assert to_string(Mul(Const(-math.inf), Var("x"))) == "-1e999*x"
+
+
 _const_values = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
 )

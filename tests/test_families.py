@@ -136,7 +136,8 @@ def test_predictions():
     pp = predict(NonIsotropicPlane(p=1.0, q=2.0, r=3.0))
     assert (pp.K_expected, pp.H_expected) == (0.0, 0.0)
 
-    assert predict(SPEC_31) is None
+    with pytest.raises(NoConstantPredictionError, match="run the contradiction scan"):
+        predict(SPEC_31)
 
 
 def test_prediction_relation_holds_identically():
@@ -366,6 +367,17 @@ def test_spec_from_dict_is_strict():
         spec_from_dict(dict(base, d2="0.0"))
     with pytest.raises(InvalidSpecError):
         spec_from_dict(dict(base, d2=True))
+
+
+@pytest.mark.parametrize(
+    "bad", [math.inf, -math.inf, math.nan, 10**400, -(10**400)], ids=["inf", "-inf", "nan", "1e400", "-1e400"]
+)
+def test_spec_from_dict_refuses_a_non_finite_field_by_name(bad):
+    with pytest.raises(InvalidSpecError, match="^field 'd9' must be finite$"):
+        spec_from_dict(dict(spec_to_dict(SPEC_31), d9=bad))
+    # Fields are checked in their declared order: c3 comes before m0.
+    with pytest.raises(InvalidSpecError, match="^field 'c3' must be finite$"):
+        spec_from_dict(dict(spec_to_dict(SPEC_31), m0=bad, c3=bad))
 
 
 def test_spec_from_dict_runs_family_validation():

@@ -10,7 +10,6 @@ from conftest import SEED, random_expr
 from isocurv import (
     DivisionByZeroError,
     EvaluationDomainError,
-    FDConfig,
     Jet2,
     NumericOverflowError,
     compare,
@@ -163,21 +162,6 @@ def test_a_nan_to_the_power_zero_is_one():
     assert eval_value(parse("x^0"), (math.nan, 0.5)) == _walk_value(parse("x^0"), (math.nan, 0.5)) == 1.0
 
 
-def test_fdconfig_defaults_and_validation():
-    cfg = FDConfig()
-    assert cfg.h_first == 1e-4
-    assert cfg.h_second == 1e-3
-    FDConfig(h_first=1e-6, h_second=1e-2)  # bounds are inclusive
-    with pytest.raises(ValueError):
-        FDConfig(h_first=1e-7)
-    with pytest.raises(ValueError):
-        FDConfig(h_second=0.1)
-    with pytest.raises(ValueError):
-        FDConfig(h_first=0.0)
-    with pytest.raises(ValueError):
-        FDConfig(h_second=-1e-3)
-
-
 def test_fd_jet_on_bilinear_surface():
     # z = x y: dxy = 1, everything else at (2, 3) is known exactly.
     j = fd_jet(parse("x*y"), (2.0, 3.0))
@@ -267,7 +251,9 @@ def test_eval_value_keeps_a_slot_of_its_own():
     assert value_slot[0] is e
 
 
-def test_fd_order_improves_under_refinement():
+def test_fd_order_improves_under_refinement(monkeypatch):
+    from isocurv import oracle as oracle_module
+
     # First partials: fourth-order stencil, so shrinking h by 2 divides the
     # truncation error by about 16 while it still dominates roundoff.
     surface = parse("exp(2*x)*cos(3*y)")
@@ -275,7 +261,8 @@ def test_fd_order_improves_under_refinement():
     exact = eval_jet(surface, p)
 
     def dx_err(h: float) -> float:
-        return abs(fd_jet(surface, p, FDConfig(h_first=h)).dx - exact.dx)
+        monkeypatch.setattr(oracle_module, "H_FIRST", h)
+        return abs(fd_jet(surface, p).dx - exact.dx)
 
     coarse = dx_err(8e-3)
     fine = dx_err(4e-3)
@@ -283,7 +270,8 @@ def test_fd_order_improves_under_refinement():
 
     # Mixed partial: second-order cross stencil, factor about 4.
     def dxy_err(h: float) -> float:
-        return abs(fd_jet(surface, p, FDConfig(h_second=h)).dxy - exact.dxy)
+        monkeypatch.setattr(oracle_module, "H_SECOND", h)
+        return abs(fd_jet(surface, p).dxy - exact.dxy)
 
     assert dxy_err(4e-3) / dxy_err(2e-3) >= 3.0
 

@@ -48,7 +48,6 @@ SAMPLES = {
     ode.ShiftedReciprocalODE: (1.0, 2.0),
     ode.SaturatedLinearODE: (1.0, 0.0),
     ode.IVP: (ode.SaturatedLinearODE(1.0, 0.0), 0.0, 1.0, 0.0, 1.0, 0.1),
-    oracle.FDConfig: (1e-4, 1e-3),
     oracle.JetComparison: ({"v": 0.0}, ("dx",), 1e-6),
     weingarten.LWParams: (0.0, 1.0, 2.0),
     weingarten.NormalizedLW: (1.0, 2.0),
@@ -81,7 +80,6 @@ FIELDS = {
     "ShiftedReciprocalODE": "c3 m0",
     "SaturatedLinearODE": "c5 d10",
     "IVP": "rhs t0 y0 yp0 t_end step",
-    "FDConfig": "h_first=1e-4 h_second=1e-3",
     "JetComparison": "deviations flagged=() tol_rel=0.0",
     "LWParams": "a b c",
     "NormalizedLW": "m0 n0",
@@ -122,7 +120,7 @@ def test_every_record_class_is_checked():
         and "__match_args__" in vars(obj)
     }
     assert found == set(SAMPLES)
-    assert len(found) == len(FIELDS) == 36
+    assert len(found) == len(FIELDS) == 35
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)

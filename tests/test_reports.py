@@ -1,7 +1,7 @@
 """Whole reports pinned byte for byte: a fixed command set, and the SHA-256 of
 each run's stdout, exit code and OBJ or CSV file.
 
-The commands run in a scratch directory with relative --out names, so the
+The commands run in a temporary directory with relative --out names, so the
 paths that reports echo are the same on every machine. A digest changes
 with any byte of a report or file; a deliberate change to the output
 must update it here.
