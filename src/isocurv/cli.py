@@ -6,6 +6,12 @@ files. Exit codes: 0 when no check failed, 1 when a tolerance-gated check
 failed, 2 on any error (bad input, parse error, singularity, arithmetic
 overflow, I/O, or a report holding a non-finite number).
 
+One table, _COMMANDS, states every subcommand's flags. Each flag takes
+exactly one value, as --flag VALUE or --flag=VALUE, so a value may start
+with '-'; the last of a repeated flag wins, and -h or --help prints the
+table's help. A usage error takes the path of every other error: one
+"error:" line on stderr and exit code 2.
+
 Each subcommand imports what it calls when it runs, so a process pays
 start-up only for the modules it uses: eval and scan never load the
 families, ODE, mesh or oracle modules, and ode loads neither the parser
@@ -14,14 +20,16 @@ nor the jets.
 
 from __future__ import annotations
 
-import argparse
 import json
+import math
 import sys
-from typing import Callable, Optional
+from collections.abc import Callable
+from functools import partial
+from types import SimpleNamespace
 
 from . import __getattr__ as _package_name
 from .domain import DEFAULT_EXCLUSION_RADIUS, GridDomain, VerticalLine
-from .errors import IsocurvError, asdict, require_finite
+from .errors import IsocurvError, asdict
 
 
 def __getattr__(name: str):
@@ -38,136 +46,50 @@ def __getattr__(name: str):
 SCHEMA_VERSION = 2
 
 DEFAULT_SCAN_TOL = {"lw": 1e-9, "euler": 1e-9, "jacobian": 1e-6}
-DEFAULT_FAMILY_TOL = 1e-9
-DEFAULT_ODE_TOL = 1e-6
 
 
 class _UsageError(IsocurvError):
-    """Bad flag combination; reported like other errors, exit 2."""
+    """An argument that _COMMANDS does not allow, or a bad flag combination:
+    main reports it like every other error, as one error: line and exit 2."""
 
 
 def _numbers(kind: type, metavar: str) -> Callable[[str], tuple]:
-    """Argparse type for the comma-separated numbers that metavar names."""
+    """Converter for the comma-separated numbers that metavar names."""
 
     def convert(text: str) -> tuple:
         parts = text.split(",")
         if len(parts) != len(metavar.split(",")):
-            raise argparse.ArgumentTypeError(f"expected {metavar}")
+            raise ValueError(f"expected {metavar}")
         try:
             return tuple(kind(v) for v in parts)
         except ValueError:
             what = "integer" if kind is int else "number"
-            raise argparse.ArgumentTypeError(f"bad {what} in {text!r}") from None
+            raise ValueError(f"bad {what} in {text!r}") from None
 
     return convert
 
 
-def _add_domain_flags(sp: argparse.ArgumentParser, default_exclusion: float) -> None:
-    sp.add_argument(
-        "--domain",
-        type=_numbers(float, "XMIN,XMAX,YMIN,YMAX"),
-        default=(-1.0, 1.0, -1.0, 1.0),
-        metavar="XMIN,XMAX,YMIN,YMAX",
-        help="sampling rectangle (default [-1,1]^2)",
-    )
-    sp.add_argument(
-        "--grid",
-        type=_numbers(int, "NX,NY"),
-        default=(101, 101),
-        metavar="NX,NY",
-        help="grid resolution (default 101,101)",
-    )
-    sp.add_argument(
-        "--exclusion",
-        type=float,
-        default=default_exclusion,
-        metavar="R",
-        help="exclusion radius around declared singular loci",
-    )
+def _finite(text: str, low: float = -math.inf) -> float:
+    """Converter for a number that a report holds: one that is not finite,
+    or is below low, raises ArithmeticError, which the parse loop reports by
+    the flag's name."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ArithmeticError("must be finite")
+    if value < low:
+        raise ArithmeticError(f"must be at least {low}")
+    return value
 
 
-def build_argparser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="isocurv",
-        description="curvature invariants and linear Weingarten checks for "
-        "graph surfaces z(x, y)",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("eval", help="jet, K, H at a point")
-    sp.add_argument("--surface", required=True, help="expression in x and y")
-    sp.add_argument("--at", type=_numbers(float, "X,Y"), required=True, metavar="X,Y")
-
-    sp = sub.add_parser("scan", help="residual statistics over a grid")
-    sp.add_argument("--surface", required=True)
-    sp.add_argument("--residual", choices=("lw", "euler", "jacobian"), required=True)
-    sp.add_argument("--a", type=float, help="H coefficient (lw residual)")
-    sp.add_argument("--b", type=float, help="K coefficient (lw residual)")
-    sp.add_argument("--c", type=float, help="constant side (lw residual)")
-    sp.add_argument("--tol", type=float, help="pass threshold on max |residual|")
-    _add_domain_flags(sp, 0.0)
-
-    sp = sub.add_parser("verify-family", help="check a family spec JSON")
-    sp.add_argument("--spec", required=True, help="path to a family spec JSON file")
-    sp.add_argument("--tol", type=float, default=DEFAULT_FAMILY_TOL)
-    sp.add_argument(
-        "--n0",
-        type=float,
-        default=0.0,
-        help="relation constant for the contradiction scan",
-    )
-    _add_domain_flags(sp, DEFAULT_EXCLUSION_RADIUS)
-
-    sp = sub.add_parser("ode", help="integrate a factor equation")
-    sp.add_argument(
-        "--ode",
-        choices=("shifted-reciprocal", "saturated-linear"),
-        required=True,
-    )
-    sp.add_argument("--c3", type=float, help="shifted-reciprocal parameter")
-    sp.add_argument("--m0", type=float, help="shifted-reciprocal parameter")
-    sp.add_argument("--c5", type=float, help="saturated-linear parameter")
-    sp.add_argument("--d10", type=float, default=0.0, help="saturation constant")
-    sp.add_argument("--t0", type=float, default=0.0)
-    sp.add_argument("--f0", type=float, required=True, help="f(t0)")
-    sp.add_argument("--fp0", type=float, required=True, help="f'(t0)")
-    sp.add_argument("--t-end", type=float, required=True)
-    sp.add_argument("--step", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=DEFAULT_ODE_TOL)
-    sp.add_argument(
-        "--oracle-c4",
-        type=float,
-        help="with --oracle-d9: check shifted-reciprocal against its closed form",
-    )
-    sp.add_argument("--oracle-d9", type=float)
-    sp.add_argument("--out", help="write the trajectory CSV here")
-
-    sp = sub.add_parser("mesh", help="export a Wavefront OBJ")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--surface")
-    group.add_argument("--spec", help="family spec JSON instead of an expression")
-    sp.add_argument("--out", required=True)
-    _add_domain_flags(sp, DEFAULT_EXCLUSION_RADIUS)
-
-    return p
+_tolerance = partial(_finite, low=0.0)  # a gate's threshold
 
 
-def _report(
-    command: str,
-    surface: Optional[str],
-    params: dict,
-    result: dict,
-    passed: Optional[bool],
-    tolerances: dict,
-) -> dict:
+def _domain_flags(exclusion: float) -> dict:
+    """The sampling-grid flags; exclusion is the default radius."""
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "surface": surface,
-        "params": params,
-        "result": result,
-        "pass": passed,
-        "tolerances": tolerances,
+        "--domain": (_numbers(float, "XMIN,XMAX,YMIN,YMAX"), (-1.0, 1.0, -1.0, 1.0), "sampling rectangle"),
+        "--grid": (_numbers(int, "NX,NY"), (101, 101), "grid resolution"),
+        "--exclusion": (float, exclusion, "exclusion radius around declared singular loci"),
     }
 
 
@@ -179,7 +101,7 @@ def _domain(args, params: dict, loci: tuple[VerticalLine, ...] = ()) -> GridDoma
     return domain
 
 
-def cmd_eval(args) -> dict:
+def cmd_eval(args) -> tuple:
     from .cli import curvatures, euler_residual, eval_jet, parse, to_string
 
     surface = parse(args.surface)
@@ -192,10 +114,10 @@ def cmd_eval(args) -> dict:
         "H": pair.H,
         "euler_residual": euler_residual(j),
     }
-    return _report("eval", to_string(surface), {"at": [x, y]}, result, None, {})
+    return to_string(surface), {"at": [x, y]}, result, None, {}
 
 
-def cmd_scan(args) -> dict:
+def cmd_scan(args) -> tuple:
     from .cli import (
         LWParams,
         euler_residual_fn,
@@ -227,14 +149,7 @@ def cmd_scan(args) -> dict:
         fn = jacobian_residual_fn()
     report = scan_grid(surface, domain, fn)
     passed = report.max_abs <= tol
-    return _report(
-        "scan",
-        to_string(surface),
-        params,
-        report.to_dict(),
-        passed,
-        {args.residual: tol},
-    )
+    return to_string(surface), params, report.to_dict(), passed, {args.residual: tol}
 
 
 def _load_spec(path: str, params: dict):
@@ -253,7 +168,7 @@ def _load_spec(path: str, params: dict):
     return spec, build(spec), singular_loci(spec)
 
 
-def cmd_verify_family(args) -> dict:
+def cmd_verify_family(args) -> tuple:
     from .cli import (
         Case31Candidate,
         case31_contradiction_scan,
@@ -284,10 +199,10 @@ def cmd_verify_family(args) -> dict:
         result["check"] = "constant_invariants"
         result["predicted"] = {"K": prediction.K_expected, "H": prediction.H_expected}
         tolerances = {"family": args.tol}
-    return _report("verify-family", to_string(surface), params, result, passed, tolerances)
+    return to_string(surface), params, result, passed, tolerances
 
 
-def cmd_ode(args) -> dict:
+def cmd_ode(args) -> tuple:
     from .cli import (
         IVP,
         SaturatedLinearODE,
@@ -297,7 +212,7 @@ def cmd_ode(args) -> dict:
         shifted_reciprocal_solution,
     )
 
-    oracle: Optional[Callable[[float], float]] = None
+    oracle: Callable[[float], float] | None = None
     if args.ode == "shifted-reciprocal":
         if args.c3 is None or args.m0 is None:
             raise _UsageError("shifted-reciprocal needs --c3 and --m0")
@@ -305,7 +220,6 @@ def cmd_ode(args) -> dict:
         if (args.oracle_c4 is None) != (args.oracle_d9 is None):
             raise _UsageError("--oracle-c4 and --oracle-d9 go together")
         if args.oracle_c4 is not None:
-            require_finite(args, "oracle_c4", "oracle_d9")
             c3, c4, d9, m0 = args.c3, args.oracle_c4, args.oracle_d9, args.m0
 
             def oracle(t: float) -> float:
@@ -321,14 +235,12 @@ def cmd_ode(args) -> dict:
             def oracle(t: float) -> float:
                 return linear_force_solution(c5, f0, fp0, t - t0)
 
-    if oracle is not None:
-        require_finite(args, "tol")  # the report holds it
     ivp = IVP(
         rhs=rhs, t0=args.t0, y0=args.f0, yp0=args.fp0, t_end=args.t_end, step=args.step
     )
     trajectory = integrate(ivp)
-    max_dev: Optional[float] = None
-    passed: Optional[bool] = None
+    max_dev: float | None = None
+    passed: bool | None = None
     if oracle is not None:
         max_dev = max(abs(f - oracle(t)) for t, f, _ in trajectory)
         passed = max_dev <= args.tol
@@ -354,12 +266,14 @@ def cmd_ode(args) -> dict:
         "csv": args.out,
     }
     tolerances = {"oracle": args.tol} if oracle is not None else {}
-    return _report("ode", None, params, result, passed, tolerances)
+    return None, params, result, passed, tolerances
 
 
-def cmd_mesh(args) -> dict:
+def cmd_mesh(args) -> tuple:
     from .cli import parse, to_string, write_obj
 
+    if (args.surface is None) == (args.spec is None):
+        raise _UsageError("mesh needs exactly one of --surface and --spec")
     params: dict = {}
     if args.spec is not None:
         _, surface, loci = _load_spec(args.spec, params)
@@ -368,45 +282,121 @@ def cmd_mesh(args) -> dict:
     domain = _domain(args, params, loci)
     stats = write_obj(surface, domain, args.out)
     result = {**asdict(stats), "obj": args.out}
-    return _report("mesh", to_string(surface), params, result, None, {})
+    return to_string(surface), params, result, None, {}
 
 
-_DISPATCH = {
-    "eval": cmd_eval,
-    "scan": cmd_scan,
-    "verify-family": cmd_verify_family,
-    "ode": cmd_ode,
-    "mesh": cmd_mesh,
+# Each subcommand's function, summary and flags. The function returns its
+# report's surface, params, result, pass and tolerances. A flag maps to its
+# converter (a function that raises ValueError for text it cannot read) or
+# its tuple of choices, its default or _REQUIRED, and its help.
+_REQUIRED = object()
+_COMMANDS = {
+    "eval": (cmd_eval, "jet, K, H at a point", {
+        "--surface": (str, _REQUIRED, "expression in x and y"),
+        "--at": (_numbers(float, "X,Y"), _REQUIRED, "the point X,Y"),
+    }),
+    "scan": (cmd_scan, "residual statistics over a grid", {
+        "--surface": (str, _REQUIRED, "expression in x and y"),
+        "--residual": (("lw", "euler", "jacobian"), _REQUIRED, "the residual"),
+        "--a": (float, None, "H coefficient (lw residual)"),
+        "--b": (float, None, "K coefficient (lw residual)"),
+        "--c": (float, None, "constant side (lw residual)"),
+        "--tol": (_tolerance, None, f"pass threshold on max |residual| (default {DEFAULT_SCAN_TOL})"),
+        **_domain_flags(0.0),
+    }),
+    "verify-family": (cmd_verify_family, "check a family spec JSON", {
+        "--spec": (str, _REQUIRED, "path to a family spec JSON file"),
+        "--tol": (_tolerance, 1e-9, "pass threshold on max |residual|"),
+        "--n0": (_finite, 0.0, "relation constant for the contradiction scan"),
+        **_domain_flags(DEFAULT_EXCLUSION_RADIUS),
+    }),
+    "ode": (cmd_ode, "integrate a factor equation", {
+        "--ode": (("shifted-reciprocal", "saturated-linear"), _REQUIRED, "the equation"),
+        "--c3": (float, None, "shifted-reciprocal parameter"),
+        "--m0": (float, None, "shifted-reciprocal parameter"),
+        "--c5": (float, None, "saturated-linear parameter"),
+        "--d10": (float, 0.0, "saturation constant"),
+        "--t0": (float, 0.0, "start of the span"),
+        "--f0": (float, _REQUIRED, "f(t0)"),
+        "--fp0": (float, _REQUIRED, "f'(t0)"),
+        "--t-end": (float, _REQUIRED, "end of the span"),
+        "--step": (float, _REQUIRED, "RK4 step"),
+        "--tol": (_tolerance, 1e-6, "pass threshold on the max deviation from the oracle"),
+        "--oracle-c4": (_finite, None, "with --oracle-d9: check shifted-reciprocal against its closed form"),
+        "--oracle-d9": (_finite, None, "with --oracle-c4: the closed form's shift"),
+        "--out": (str, None, "write the trajectory CSV here"),
+    }),
+    "mesh": (cmd_mesh, "export a Wavefront OBJ", {
+        "--surface": (str, None, "expression in x and y; this or --spec"),
+        "--spec": (str, None, "family spec JSON instead of an expression"),
+        "--out": (str, _REQUIRED, "write the OBJ here"),
+        **_domain_flags(DEFAULT_EXCLUSION_RADIUS),
+    }),
 }
 
 
-def _join_negative_values(argv: list[str]) -> list[str]:
-    """argv with each negative number or number list that follows an
-    option, as in --fp0 -1e-05 or --domain -1,1,-1,1, joined to it as
-    --fp0=-1e-05: argparse reads a token that starts with '-' as an option
-    unless it has the shape -1 or -0.5, but takes anything after '='."""
-    out: list[str] = []
-    for arg in argv:
-        prev = out[-1] if out else ""
-        option = prev.startswith("--") and "=" not in prev and not "--help".startswith(prev)
-        if option and arg.startswith("-"):
-            try:
-                for part in arg.split(","):
-                    float(part)
-            except ValueError:
-                pass
-            else:
-                out[-1] = f"{prev}={arg}"
-                continue
-        out.append(arg)
-    return out
+_DISPATCH = {name: function for name, (function, _, _) in _COMMANDS.items()}
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_argparser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+def _help(command: str | None) -> str:
+    """The -h text: the subcommands, or each flag of command with its help
+    and its default or (required)."""
+    if command is None:
+        return "usage: isocurv SUBCOMMAND [--flag VALUE ...]\n" + "".join(
+            f"  {name:<15}{summary}\n" for name, (_, summary, _) in _COMMANDS.items())
+    lines = [f"usage: isocurv {command} [--flag VALUE ...]\n"]
+    for flag, (convert, default, text) in _COMMANDS[command][2].items():
+        choices = f": {', '.join(convert)}" if isinstance(convert, tuple) else ""
+        shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+        note = "" if default is None else " (required)" if default is _REQUIRED else f" (default {shown})"
+        lines.append(f"  {flag:<13}{text}{choices}{note}\n")
+    return "".join(lines)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | str:
+    """argv read by _COMMANDS: the subcommand and each of its flags' value or
+    default, as attributes (--t-end as t_end), or the help text it asks for."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return _help(None)
+    if command not in _COMMANDS:
+        got = "nothing" if command is None else repr(command)
+        raise _UsageError(f"expected a subcommand ({', '.join(_COMMANDS)}), got {got}")
+    flags = _COMMANDS[command][2]
+    given = {flag: default for flag, (_, default, _) in flags.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help(command)
+        flag, eq, text = token.partition("=")
+        if flag not in flags:
+            raise _UsageError(f"unrecognized argument {token!r} to {command}")
+        if not eq and (text := next(tokens, None)) is None:
+            raise _UsageError(f"argument {flag}: expected one argument")
+        convert = flags[flag][0]
+        if isinstance(convert, tuple) and text not in convert:
+            raise _UsageError(f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(convert)})")
+        try:
+            given[flag] = text if isinstance(convert, tuple) else convert(text)
+        except ValueError as err:  # text that is not of the flag's kind
+            raise _UsageError(f"argument {flag}: {err}") from None
+        except ArithmeticError as err:  # a number outside the flag's range
+            raise _UsageError(f"{flag[2:].replace('-', '_')} {err}") from None
+    missing = [flag for flag, value in given.items() if value is _REQUIRED]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=command, **{f[2:].replace("-", "_"): v for f, v in given.items()})
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        report = _DISPATCH[args.command](args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # -h or --help
+            sys.stdout.write(args)
+            return 0
+        surface, params, result, passed, tolerances = _DISPATCH[args.command](args)
+        report = {"schema_version": SCHEMA_VERSION, "command": args.command, "surface": surface,
+                  "params": params, "result": result, "pass": passed, "tolerances": tolerances}
         # RFC 8259 has no NaN or Infinity: such a report is an error.
         text = json.dumps(report, indent=2, allow_nan=False)
     except json.JSONDecodeError as err:
@@ -416,7 +406,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     sys.stdout.write(text + "\n")
-    return 1 if report["pass"] is False else 0
+    return 1 if passed is False else 0
 
 
 def entrypoint() -> None:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Union
 
 from . import jet as jetmath
 from .errors import MixedVariableError, ParseError, UnknownIdentifierError, record
@@ -108,7 +107,7 @@ class Sqrt:
     arg: "Expr"
 
 
-Expr = Union[Const, Var, Neg, Add, Sub, Mul, Div, Pow, Exp, Ln, Sin, Cos, Sqrt]
+Expr = Const | Var | Neg | Add | Sub | Mul | Div | Pow | Exp | Ln | Sin | Cos | Sqrt
 
 _FUNCS = {"exp": Exp, "ln": Ln, "sin": Sin, "cos": Cos, "sqrt": Sqrt}
 

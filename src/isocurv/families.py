@@ -18,7 +18,6 @@ class name and the numeric fields of that class, nothing else.
 from __future__ import annotations
 
 import math
-from typing import Optional, Union, get_args
 
 from .curvature import curvatures
 from .domain import GridDomain, VerticalLine
@@ -120,9 +119,7 @@ class Case31Candidate:
         require_nonzero(self, "c3", "c4", "m0")
 
 
-FamilySpec = Union[
-    CaseA, CaseB, CaseC, ParabolicSphere, NonIsotropicPlane, Case31Candidate
-]
+FamilySpec = CaseA | CaseB | CaseC | ParabolicSphere | NonIsotropicPlane | Case31Candidate
 
 
 @record
@@ -132,13 +129,13 @@ class FamilyPrediction:
 
     K_expected: float
     H_expected: float
-    lw: Optional[LWParams]
+    lw: LWParams | None
 
 
 # -- builders ----------------------------------------------------------------
 
 
-def _term(coeff: float, factor: Optional[Expr]) -> Expr:
+def _term(coeff: float, factor: Expr | None) -> Expr:
     # The coefficient stays explicit even when it is 1 so printed surfaces
     # match the classification formulas shape for shape.
     if factor is None:
@@ -146,10 +143,10 @@ def _term(coeff: float, factor: Optional[Expr]) -> Expr:
     return Mul(num(abs(coeff)), factor)
 
 
-def _signed_sum(parts: list[tuple[float, Optional[Expr]]]) -> Expr:
+def _signed_sum(parts: list[tuple[float, Expr | None]]) -> Expr:
     """Sum of coeff*factor terms; zero coefficients drop, negatives attach
     through Sub/Neg so constants stay in parse normal form."""
-    acc: Optional[Expr] = None
+    acc: Expr | None = None
     for coeff, factor in parts:
         if coeff == 0.0:
             continue
@@ -251,7 +248,7 @@ def predict(spec: FamilySpec) -> FamilyPrediction:
     return prediction
 
 
-def verify_family(spec: FamilySpec, domain: Optional[GridDomain] = None) -> ResidualReport:
+def verify_family(spec: FamilySpec, domain: GridDomain | None = None) -> ResidualReport:
     """Max deviation of sampled (K, H) from the family's predicted constants.
 
     Raises NoConstantPredictionError for Case31Candidate, as predict does.
@@ -344,7 +341,7 @@ def case31_rounding_bound(spec: Case31Candidate, n0: float, xs: list[float]) -> 
 
 # -- JSON wire format --------------------------------------------------------
 
-_KINDS: dict[str, type] = {cls.__name__: cls for cls in get_args(FamilySpec)}
+_KINDS: dict[str, type] = {cls.__name__: cls for cls in FamilySpec.__args__}
 
 
 def spec_to_dict(spec: FamilySpec) -> dict:

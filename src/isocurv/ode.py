@@ -21,7 +21,6 @@ nothing.
 from __future__ import annotations
 
 import math
-from typing import Union
 
 from .errors import (
     DegenerateODEError,
@@ -88,7 +87,7 @@ class SaturatedLinearODE:
         return accel
 
 
-OdeKind = Union[ShiftedReciprocalODE, SaturatedLinearODE]
+OdeKind = ShiftedReciprocalODE | SaturatedLinearODE
 
 
 @record

@@ -10,7 +10,7 @@ oracle for it: agreement between fd_jet and eval_jet cross-validates both.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import (
     DivisionByZeroError,

@@ -17,7 +17,7 @@ scan machinery:
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .curvature import CurvaturePair, curvatures
 from .domain import GridDomain

@@ -161,6 +161,15 @@ ODE_SL = "ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1 --step 0.1 
         pytest.param(ODE_SR + " --oracle-c4 1 --oracle-d9 nan", "oracle_d9 must be finite", id="ode-oracle-d9"),
         pytest.param(ODE_SR + " --oracle-c4 1 --oracle-d9 2 --tol nan", "tol must be finite", id="ode-tol-nan"),
         pytest.param(ODE_SL + " --tol inf", "tol must be finite", id="ode-tol-inf"),
+        # A tolerance or relation constant is named before any scan runs.
+        pytest.param("scan --surface x --residual euler --grid 3,3 --tol inf", "tol must be finite",
+                     id="scan-tol-inf"),
+        pytest.param("scan --surface x --residual jacobian --grid 3,3 --tol=-1", "tol must be at least 0.0",
+                     id="scan-tol-negative"),
+        pytest.param("verify-family --spec {casea} --tol nan", "tol must be finite", id="family-tol-nan"),
+        pytest.param("verify-family --spec {c31} --n0 inf", "n0 must be finite", id="family-n0-inf"),
+        pytest.param("verify-family --spec {c31} --n0 -nan", "n0 must be finite", id="family-n0-nan"),
+        pytest.param(ODE_SL + " --tol=-1e-300", "tol must be at least 0.0", id="ode-tol-negative"),
         # Python's json reads Infinity, NaN and integers of any size.
         pytest.param("mesh --spec {d9_inf} --out {out}", "field 'd9' must be finite", id="spec-infinity"),
         pytest.param("mesh --spec {d9_nan} --out {out}", "field 'd9' must be finite", id="spec-nan"),
@@ -172,6 +181,8 @@ def test_non_finite_input_is_named(capsys, tmp_path, argv, message):
     specs = {
         "spec": json.dumps(dict(CASE_31, c4=1e100, d8=1.0, d9=0.5)),
         "casec": '{"kind": "CaseC", "c8": 1e200, "d15": 1.0, "c9": 3.0, "d16": 4.0}',
+        "casea": json.dumps(CASE_A),
+        "c31": json.dumps(CASE_31),
         "c8_1e400": '{"kind": "CaseC", "c8": 1e400, "d15": 1.0, "c9": 3.0, "d16": 4.0}',
         "d9_inf": json.dumps(dict(CASE_31, d9=math.inf)),
         "d9_nan": json.dumps(dict(CASE_31, d9=math.nan)),
@@ -196,10 +207,59 @@ def test_non_finite_input_is_named(capsys, tmp_path, argv, message):
     ],
 )
 def test_number_lists_are_checked(capsys, argv, message):
-    with pytest.raises(SystemExit) as exc_info:
-        main(argv.split())
-    assert exc_info.value.code == 2
-    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert run_cli(capsys, *argv.split()) == (2, None, f"error: {message}\n")
+
+
+EVAL = "eval --surface x*y --at 1,2"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("", "expected a subcommand (eval, scan, verify-family, ode, mesh), got nothing"),
+        ("evaluate --surface x", "expected a subcommand (eval, scan, verify-family, ode, mesh), got 'evaluate'"),
+        (EVAL + " --nope 1", "unrecognized argument '--nope' to eval"),
+        (EVAL + " --tol=1", "unrecognized argument '--tol=1' to eval"),
+        (EVAL + " stray", "unrecognized argument 'stray' to eval"),
+        # A unique prefix is no abbreviation of its flag.
+        ("eval --sur x*y --at 1,2", "unrecognized argument '--sur' to eval"),
+        (EVAL + " --at", "argument --at: expected one argument"),
+        ("eval --at 1,2", "the following arguments are required: --surface"),
+        ("ode --ode saturated-linear --c5 1", "the following arguments are required: --f0, --fp0, --t-end, --step"),
+        ("scan --surface x --residual cubic", "argument --residual: invalid choice: 'cubic' (choose from lw, euler, jacobian)"),
+        ("scan --surface x --residual euler --exclusion r", "argument --exclusion: could not convert string to float: 'r'"),
+        ("scan --surface x --residual euler --tol=-1", "tol must be at least 0.0"),
+        # Every flag's place is checked before the first -h.
+        ("eval --at 1 -h", "argument --at: expected X,Y"),
+    ],
+)
+def test_usage_errors_take_the_one_exit_2_path(capsys, argv, message):
+    assert run_cli(capsys, *argv.split()) == (2, None, f"error: {message}\n")
+
+
+def test_the_last_of_a_repeated_flag_wins(capsys):
+    code, report, err = run_cli(capsys, *EVAL.split(), "--at=3,4", "--surface", "x+y")
+    assert (code, err, report["surface"], report["params"]["at"]) == (0, "", "x+y", [3.0, 4.0])
+
+
+@pytest.mark.parametrize("command", [None, "eval", "scan", "verify-family", "ode", "mesh"])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_flag_of_the_table(capsys, command, flag):
+    from isocurv.cli import _COMMANDS, _REQUIRED
+
+    # Help is printed at the first -h, before any later argument is read.
+    argv = [flag] if command is None else [command, flag, "--nope"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and lines[0] == f"usage: isocurv {command or 'SUBCOMMAND'} [--flag VALUE ...]"
+    names = list(_COMMANDS) if command is None else list(_COMMANDS[command][2])
+    assert [line.split()[0] for line in lines[1:]] == names
+    if command is not None:
+        for line, (_, default, _) in zip(lines[1:], _COMMANDS[command][2].values()):
+            assert line.endswith(" (required)") == (default is _REQUIRED)
+            if default is not None and default is not _REQUIRED:
+                assert "(default " in line
 
 
 @pytest.mark.parametrize(
@@ -217,21 +277,16 @@ def test_number_lists_are_checked(capsys, argv, message):
     ],
 )
 def test_negative_numbers_in_exponent_form_are_values(capsys, argv, key, value):
-    # argparse alone reads -1e-05 or -1,1,... after an option as an option.
+    # The argument after a flag is its value, whatever it starts with.
     code, report, err = run_cli(capsys, *argv.split())
     assert code in (0, 1) and err == ""
     assert report["params"][key] == value
 
 
-def test_a_surface_that_starts_with_minus_needs_the_equals_form(capsys):
-    # argparse reads a token after an option that starts with '-' and is
-    # not a number as an option.
-    with pytest.raises(SystemExit) as exc_info:
-        main(["eval", "--surface", "-x*y", "--at", "1,2"])
-    assert exc_info.value.code == 2
-    assert capsys.readouterr().out == ""
-    code, report, err = run_cli(capsys, "eval", "--surface=-x*y", "--at", "1,2")
-    assert (code, report["surface"], report["result"]["jet"]["v"], err) == (0, "-x*y", -2.0, "")
+def test_a_surface_that_starts_with_minus_is_a_value(capsys):
+    for argv in (["--surface", "-x*y"], ["--surface=-x*y"]):
+        code, report, err = run_cli(capsys, "eval", *argv, "--at", "1,2")
+        assert (code, report["surface"], report["result"]["jet"]["v"], err) == (0, "-x*y", -2.0, "")
 
 
 @pytest.mark.parametrize(
@@ -815,26 +870,21 @@ def test_mesh_failing_node_leaves_no_file(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_mesh_surface_and_spec_are_exclusive(tmp_path):
-    with pytest.raises(SystemExit) as exc_info:
-        main(
-            [
-                "mesh",
-                "--surface",
-                "x*y",
-                "--spec",
-                "whatever.json",
-                "--out",
-                str(tmp_path / "o.obj"),
-            ]
-        )
-    assert exc_info.value.code == 2
+def test_mesh_surface_and_spec_are_exclusive(capsys, tmp_path):
+    out = tmp_path / "o.obj"
+    code, report, err = run_cli(capsys, "mesh", "--surface", "x*y", "--spec", "whatever.json", "--out", str(out))
+    assert (code, report, err) == (2, None, "error: mesh needs exactly one of --surface and --spec\n")
+    assert not out.exists()
 
 
-def test_mesh_requires_out(tmp_path):
-    with pytest.raises(SystemExit) as exc_info:
-        main(["mesh", "--surface", "x*y"])
-    assert exc_info.value.code == 2
+def test_mesh_needs_a_surface_or_a_spec(capsys, tmp_path):
+    code, report, err = run_cli(capsys, "mesh", "--out", str(tmp_path / "o.obj"))
+    assert (code, report, err) == (2, None, "error: mesh needs exactly one of --surface and --spec\n")
+
+
+def test_mesh_requires_out(capsys):
+    code, report, err = run_cli(capsys, "mesh", "--surface", "x*y")
+    assert (code, report, err) == (2, None, "error: the following arguments are required: --out\n")
 
 
 # -- process-level smoke -------------------------------------------------------------

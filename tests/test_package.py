@@ -7,8 +7,10 @@ fresh interpreter loads is checked in child processes, from sys.modules.
 
 import ast
 import importlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,14 +43,16 @@ ALL_NAMES = [n for names in ROOT_NAMES.values() for n in names.split()]
 HEAVY = {"isocurv.families", "isocurv.ode", "isocurv.mesh", "isocurv.oracle"}
 
 
-def loaded_modules(code: str) -> set[str]:
-    """The isocurv modules a fresh interpreter holds after running code."""
+def loaded_modules(code: str, *flags: str, env: dict | None = None) -> set[str]:
+    """The isocurv modules a fresh interpreter, started with flags and env,
+    holds after running code."""
     report = "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'isocurv'))"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys\n" + code + report],
+        [sys.executable, *flags, "-c", "import sys\n" + code + report],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
@@ -143,8 +147,11 @@ def test_mesh_from_a_surface_loads_no_families(tmp_path):
 
 
 def test_no_module_or_subcommand_loads_dataclasses(tmp_path):
-    """The records are built without dataclasses, whose import costs every
-    process start-up: no submodule and no subcommand run loads it."""
+    """The records are built without dataclasses, the command line is read
+    without argparse, and unions are written without typing, whose imports
+    cost every process start-up: no submodule and no subcommand run loads
+    them. The child runs with -S, so that no module that site imports (a
+    .pth file may load typing) hides one that the package loads."""
     spec = tmp_path / "spec.json"
     spec.write_text('{"kind": "CaseC", "c8": 1, "d15": 0, "c9": 1, "d16": 0}')
     runs = [
@@ -154,9 +161,11 @@ def test_no_module_or_subcommand_loads_dataclasses(tmp_path):
         "ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1 --step 0.1",
         f"mesh --surface x*y --grid 2,2 --out {tmp_path / 'm.obj'}",
     ]
-    check = "\nassert 'dataclasses' not in sys.modules, {!r}\n"
-    code = "".join(f"import isocurv.{m}\n" for m in ROOT_NAMES) + "import isocurv.cli\n"
+    check = "\nassert not {{'dataclasses', 'argparse', 'typing'}} & set(sys.modules), {!r}\n"
+    code = check.format("start-up")
+    code += "".join(f"import isocurv.{m}\n" for m in ROOT_NAMES) + "import isocurv.cli\n"
     code += check.format("import")
     for argv in runs:
         code += run_module(argv.split()) + check.format(argv)
-    assert "isocurv.mesh" in loaded_modules(code)
+    src = str(Path(isocurv.__file__).parents[1])
+    assert "isocurv.mesh" in loaded_modules(code, "-S", env={**os.environ, "PYTHONPATH": src})
