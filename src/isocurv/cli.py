@@ -24,7 +24,6 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from functools import partial
 from types import SimpleNamespace
 
 from . import __getattr__ as _package_name
@@ -69,25 +68,28 @@ def _numbers(kind: type, metavar: str) -> Callable[[str], tuple]:
     return convert
 
 
-def _finite(text: str, low: float = -math.inf) -> float:
-    """Converter for a number that a report holds: one that is not finite,
-    or is below low, raises ArithmeticError, which the parse loop reports by
-    the flag's name."""
+def _finite(text: str) -> float:
+    """Converter for a number that a report holds: one that is not finite
+    raises ArithmeticError, which the parse loop reports by the flag's name."""
     value = float(text)
     if not math.isfinite(value):
         raise ArithmeticError("must be finite")
-    if value < low:
-        raise ArithmeticError(f"must be at least {low}")
     return value
 
 
-_tolerance = partial(_finite, low=0.0)  # a gate's threshold
+def _tolerance(text: str) -> float:
+    """Converter for a gate's threshold: a finite number, at least 0."""
+    if (value := _finite(text)) < 0.0:
+        raise ArithmeticError("must be at least 0.0")
+    return value
 
 
 def _domain_flags(exclusion: float) -> dict:
     """The sampling-grid flags; exclusion is the default radius."""
     return {
-        "--domain": (_numbers(float, "XMIN,XMAX,YMIN,YMAX"), (-1.0, 1.0, -1.0, 1.0), "sampling rectangle"),
+        "--domain": (
+            _numbers(float, "XMIN,XMAX,YMIN,YMAX"), (-1.0, 1.0, -1.0, 1.0), "sampling rectangle"
+        ),
         "--grid": (_numbers(int, "NX,NY"), (101, 101), "grid resolution"),
         "--exclusion": (float, exclusion, "exclusion radius around declared singular loci"),
     }
@@ -301,7 +303,9 @@ _COMMANDS = {
         "--a": (float, None, "H coefficient (lw residual)"),
         "--b": (float, None, "K coefficient (lw residual)"),
         "--c": (float, None, "constant side (lw residual)"),
-        "--tol": (_tolerance, None, f"pass threshold on max |residual| (default {DEFAULT_SCAN_TOL})"),
+        "--tol": (
+            _tolerance, None, f"pass threshold on max |residual| (default {DEFAULT_SCAN_TOL})"
+        ),
         **_domain_flags(0.0),
     }),
     "verify-family": (cmd_verify_family, "check a family spec JSON", {
@@ -322,7 +326,9 @@ _COMMANDS = {
         "--t-end": (float, _REQUIRED, "end of the span"),
         "--step": (float, _REQUIRED, "RK4 step"),
         "--tol": (_tolerance, 1e-6, "pass threshold on the max deviation from the oracle"),
-        "--oracle-c4": (_finite, None, "with --oracle-d9: check shifted-reciprocal against its closed form"),
+        "--oracle-c4": (
+            _finite, None, "with --oracle-d9: check shifted-reciprocal against its closed form"
+        ),
         "--oracle-d9": (_finite, None, "with --oracle-c4: the closed form's shift"),
         "--out": (str, None, "write the trajectory CSV here"),
     }),
@@ -348,7 +354,7 @@ def _help(command: str | None) -> str:
     for flag, (convert, default, text) in _COMMANDS[command][2].items():
         choices = f": {', '.join(convert)}" if isinstance(convert, tuple) else ""
         shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
-        note = "" if default is None else " (required)" if default is _REQUIRED else f" (default {shown})"
+        note = {None: "", _REQUIRED: " (required)"}.get(default, f" (default {shown})")
         lines.append(f"  {flag:<13}{text}{choices}{note}\n")
     return "".join(lines)
 
@@ -374,9 +380,9 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
         if not eq and (text := next(tokens, None)) is None:
             raise _UsageError(f"argument {flag}: expected one argument")
         convert = flags[flag][0]
-        if isinstance(convert, tuple) and text not in convert:
-            raise _UsageError(f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(convert)})")
         try:
+            if isinstance(convert, tuple) and text not in convert:
+                raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(convert)})")
             given[flag] = text if isinstance(convert, tuple) else convert(text)
         except ValueError as err:  # text that is not of the flag's kind
             raise _UsageError(f"argument {flag}: {err}") from None
@@ -385,7 +391,8 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
     missing = [flag for flag, value in given.items() if value is _REQUIRED]
     if missing:
         raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
-    return SimpleNamespace(command=command, **{f[2:].replace("-", "_"): v for f, v in given.items()})
+    values = {flag[2:].replace("-", "_"): value for flag, value in given.items()}
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -395,8 +402,15 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(args)
             return 0
         surface, params, result, passed, tolerances = _DISPATCH[args.command](args)
-        report = {"schema_version": SCHEMA_VERSION, "command": args.command, "surface": surface,
-                  "params": params, "result": result, "pass": passed, "tolerances": tolerances}
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "surface": surface,
+            "params": params,
+            "result": result,
+            "pass": passed,
+            "tolerances": tolerances,
+        }
         # RFC 8259 has no NaN or Infinity: such a report is an error.
         text = json.dumps(report, indent=2, allow_nan=False)
     except json.JSONDecodeError as err:

@@ -135,11 +135,15 @@ def _argv(draw, tmp_path) -> list[str]:
             option = "--" + name.replace("_", "-")
             # A value may follow its flag, whatever it starts with, or be joined by '='.
             groups.append([f"{option}={_text(value)}"] if draw(st.booleans()) else [option, _text(value)])
-    if odd:  # a flag the table does not hold, a stray token, or help, between two flags
+    # One odd draw in eight holds a flag the table does not hold, a stray
+    # token, or help, between two flags, and one in eight ends with a flag
+    # that has no value; the rest carry their odd values to the subcommand.
+    usage = draw(st.integers(0, 7)) if odd else None
+    if usage == 0:
         extra = draw(st.sampled_from([["--nope", "1"], ["--sur=x"], ["stray"], ["-h"], ["--help"]]))
         groups.insert(draw(st.integers(0, len(groups))), extra)
-        if draw(st.booleans()):  # a last flag with no value
-            groups.append(["--domain" if command != "ode" else "--t0"])
+    elif usage == 1:
+        groups.append(["--domain" if command != "ode" else "--t0"])
     return [command, *(arg for group in groups for arg in group)]
 
 
