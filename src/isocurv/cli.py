@@ -20,6 +20,7 @@ nor the jets.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -235,7 +236,7 @@ def cmd_ode(args) -> tuple:
             c5, f0, fp0, t0 = args.c5, args.f0, args.fp0, args.t0
 
             def oracle(t: float) -> float:
-                return linear_force_solution(c5, f0, fp0, t - t0)
+                return linear_force_solution(c5, f0, fp0, t, t0)
 
     ivp = IVP(
         rhs=rhs, t0=args.t0, y0=args.f0, yp0=args.fp0, t_end=args.t_end, step=args.step
@@ -424,7 +425,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    # Frozen objects are left out of the collections the interpreter runs at
+    # exit, which would walk everything still alive just before the process
+    # gives its memory back. Not in main: callers run main in-process.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -50,18 +50,10 @@ class ShiftedReciprocalODE:
         if self.c3 == 0.0:
             raise InvalidSpecError("shifted-reciprocal equation requires c3 != 0")
 
-    def _accel(self):
-        """f''(t, f, f') with this equation's constants bound; t names
-        where a vanishing denominator is met."""
-        shift = self.m0 / (2.0 * self.c3)
-
-        def accel(t: float, f: float, fp: float) -> float:
-            den = shift + f
-            if abs(den) < DENOMINATOR_FLOOR:
-                raise DegenerateODEError("right-hand side denominator vanished", t)
-            return 2.0 * fp * fp / den
-
-        return accel
+    def _rhs(self):
+        """f'' as a denominator and a numerator source, in which {F} and {P}
+        name f and f', and the constants those sources name."""
+        return "shift + {F}", "2.0 * {P} * {P}", {"shift": self.m0 / (2.0 * self.c3)}
 
 
 @record
@@ -74,20 +66,9 @@ class SaturatedLinearODE:
         if self.c5 == 0.0:
             raise InvalidSpecError("saturated-linear equation requires c5 != 0")
 
-    def _accel(self):
-        """f''(t, f, f'), as ShiftedReciprocalODE._accel."""
-        c5, c5_d10 = self.c5, self.c5 * self.d10
-
-        def accel(t: float, f: float, fp: float) -> float:
-            den = c5_d10 * f + 1.0
-            if abs(den) < DENOMINATOR_FLOOR:
-                raise DegenerateODEError("right-hand side denominator vanished", t)
-            return c5 * f / den
-
-        return accel
-
-
-OdeKind = ShiftedReciprocalODE | SaturatedLinearODE
+    def _rhs(self):
+        """f'', as ShiftedReciprocalODE._rhs."""
+        return "c5_d10 * {F} + 1.0", "c5 * {F}", {"c5": self.c5, "c5_d10": self.c5 * self.d10}
 
 
 @record
@@ -95,7 +76,7 @@ class IVP:
     """Initial value problem for f'' = numerator/denominator, advanced from
     (t0, f(t0), f'(t0)) to t_end with the given nominal step."""
 
-    rhs: OdeKind
+    rhs: ShiftedReciprocalODE | SaturatedLinearODE
     t0: float
     y0: float
     yp0: float
@@ -115,52 +96,73 @@ class IVP:
             raise ValueError(f"span / step exceeds the cap of {_MAX_STEPS} steps")
 
 
+# The step-doubling loop. STAGES stands for the step's 11 evaluations of f'': the full
+# step's four, the first half step's last three (its first is the full step's), the second's four.
+_LOOP = """\
+def run(t0, f, fp, n, h):
+    hh = 0.5 * h
+    qh = 0.5 * hh
+    h6 = h / 6.0
+    hh6 = hh / 6.0
+    t = t0
+    out = [(t, f, fp)]
+    append = out.append
+    for k in range(1, n + 1):
+        STAGES
+        err_f, err_fp = abs(f_full - f_2), abs(fp_full - fp_2)
+        # Each component is tested, and so written that a NaN fails.
+        if not (err_f <= limit and err_fp <= limit):
+            if max(err_f, err_fp) > limit:
+                raise StepTooLargeError("local error estimate exceeded the limit", t)
+            raise NumericOverflowError("non-finite state in the step from t = " + repr(t))
+        f, fp = f_full, fp_full
+        t = t0 + k * h
+        append((t, f, fp))
+    return out
+"""
+
+
+def _stage(rhs: tuple, t: str, f: str, p: str, a: str) -> list[str]:
+    """Lines that set a to f''(f, p), refusing at t a vanishing denominator."""
+    den, num = (src.format(F=f, P=p) for src in rhs[:2])
+    return [f"d = {den}", f"if abs(d) < floor: raise DegenerateODEError('right-hand side denominator vanished', {t})",
+            f"{a} = ({num}) / d"]
+
+
+def _rk4(rhs: tuple, t: str, f: str, p: str, h: str, hh: str, h6: str, a1: str, s: str) -> list[str]:
+    """Lines of one RK4 step h from (f, p) at t, whose first stage a1 is set
+    already; they set f{s} and fp{s}."""
+    lines, q, a = [], p, a1
+    for k, c in ((2, hh), (3, hh), (4, h)):
+        lines += [f"q{k}{s} = {p} + {c} * {a}", f"y{k}{s} = {f} + {c} * {q}",
+                  *_stage(rhs, f"{t} + {c}", f"y{k}{s}", f"q{k}{s}", f"a{k}{s}")]
+        q, a = f"q{k}{s}", f"a{k}{s}"
+    return lines + [f"f{s} = {f} + {h6} * ({p} + 2.0 * q2{s} + 2.0 * q3{s} + q4{s})",
+                    f"fp{s} = {p} + {h6} * ({a1} + 2.0 * a2{s} + 2.0 * a3{s} + a4{s})"]
+
+
 def integrate(ivp: IVP) -> list[tuple[float, float, float]]:
     """Trajectory [(t, f, f'), ...] from t0 to t_end inclusive.
 
     The span is divided into round(span/step) equal steps. Every step is
     also taken as two half steps; a discrepancy above LOCAL_ERROR_LIMIT
     raises StepTooLarge with the offending location, and a non-finite state
-    raises NumericOverflowError naming the step's t.
+    raises NumericOverflowError naming the step's t. The loop is emitted once
+    per call with f'' written into each stage, every float operation in the
+    textbook RK4 order and grouping.
     """
-    accel = ivp.rhs._accel()
-
-    def rk4(t: float, f: float, fp: float, h: float) -> tuple[float, float]:
-        hh = 0.5 * h
-        k1p = accel(t, f, fp)
-        k2f = fp + hh * k1p
-        k2p = accel(t + hh, f + hh * fp, k2f)
-        k3f = fp + hh * k2p
-        k3p = accel(t + hh, f + hh * k2f, k3f)
-        k4f = fp + h * k3p
-        k4p = accel(t + h, f + h * k3f, k4f)
-        h6 = h / 6.0
-        return (
-            f + h6 * (fp + 2.0 * k2f + 2.0 * k3f + k4f),
-            fp + h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-        )
-
-    t0 = ivp.t0
-    span = ivp.t_end - t0
+    rhs = ivp.rhs._rhs()
+    stages = [*_stage(rhs, "t", "f", "fp", "a1"),
+              *_rk4(rhs, "t", "f", "fp", "h", "hh", "h6", "a1", "_full"),
+              *_rk4(rhs, "t", "f", "fp", "hh", "qh", "hh6", "a1", "_half"),
+              *_stage(rhs, "(t + hh)", "f_half", "fp_half", "a1_2"),
+              *_rk4(rhs, "(t + hh)", "f_half", "fp_half", "hh", "qh", "hh6", "a1_2", "_2")]
+    namespace = {"floor": DENOMINATOR_FLOOR, "limit": LOCAL_ERROR_LIMIT, "DegenerateODEError": DegenerateODEError,
+                 "StepTooLargeError": StepTooLargeError, "NumericOverflowError": NumericOverflowError, **rhs[2]}
+    exec(compile(_LOOP.replace("STAGES", "\n        ".join(stages)), "<rk4 stepper>", "exec"), namespace)
+    span = ivp.t_end - ivp.t0
     n = max(1, round(span / ivp.step))
-    h = span / n
-    hh = 0.5 * h
-    t, f, fp = t0, ivp.y0, ivp.yp0
-    out = [(t, f, fp)]
-    for k in range(1, n + 1):
-        f_full, fp_full = rk4(t, f, fp, h)
-        f_half, fp_half = rk4(t, f, fp, hh)
-        f_half, fp_half = rk4(t + hh, f_half, fp_half, hh)
-        err_f, err_fp = abs(f_full - f_half), abs(fp_full - fp_half)
-        # Each component is tested, and so written that a NaN fails.
-        if not (err_f <= LOCAL_ERROR_LIMIT and err_fp <= LOCAL_ERROR_LIMIT):
-            if max(err_f, err_fp) > LOCAL_ERROR_LIMIT:
-                raise StepTooLargeError("local error estimate exceeded the limit", t)
-            raise NumericOverflowError(f"non-finite state in the step from t = {t!r}")
-        f, fp = f_full, fp_full
-        t = t0 + k * h
-        out.append((t, f, fp))
-    return out
+    return namespace["run"](ivp.t0, ivp.y0, ivp.yp0, n, span / n)
 
 
 def shifted_reciprocal_solution(
@@ -185,13 +187,17 @@ def shifted_reciprocal_residual(
     return (m0 / (2.0 * c3) + f) * fpp - 2.0 * fp * fp
 
 
-def linear_force_solution(c5: float, y0: float, yp0: float, t: float) -> float:
-    """Closed form of f'' = c5 f with f(0) = y0, f'(0) = yp0 (the saturated
+def linear_force_solution(c5: float, y0: float, yp0: float, t: float, t0: float = 0.0) -> float:
+    """Closed form of f'' = c5 f with f(t0) = y0, f'(t0) = yp0 (the saturated
     equation at d10 = 0)."""
+    dt = t - t0
     if c5 > 0.0:
         w = math.sqrt(c5)
-        return y0 * math.cosh(w * t) + yp0 / w * math.sinh(w * t)
+        try:
+            return y0 * math.cosh(w * dt) + yp0 / w * math.sinh(w * dt)
+        except OverflowError:  # cosh and sinh pass the float range once w (t - t0) > ~710
+            raise NumericOverflowError(f"closed form overflows at t = {t!r}") from None
     if c5 < 0.0:
         w = math.sqrt(-c5)
-        return y0 * math.cos(w * t) + yp0 / w * math.sin(w * t)
+        return y0 * math.cos(w * dt) + yp0 / w * math.sin(w * dt)
     raise InvalidSpecError("closed form requires c5 != 0")

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, report schema, artifacts."""
 
 import csv
+import gc
 import json
 import math
 import re
@@ -789,6 +790,18 @@ def test_ode_non_finite_state_is_refused_before_the_csv(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("span, t", [("--t-end 712", "710.5"), ("--t0 5 --t-end 717", "715.5")])
+def test_ode_overflowing_closed_form_is_named_before_the_csv(capsys, tmp_path, span, t):
+    # The solution e^-(t - t0) is tiny at t - t0 = 710.5, but cosh and sinh
+    # of it are not floats; math once raised a bare OverflowError, "math
+    # range error". The error names the trajectory's t.
+    out = tmp_path / "traj.csv"
+    argv = f"ode --ode saturated-linear --c5 1 --f0 1 --fp0=-1 {span} --step 0.05"
+    code, report, err = run_cli(capsys, *argv.split(), "--out", str(out))
+    assert (code, report, err) == (2, None, f"error: closed form overflows at t = {t}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -902,6 +915,24 @@ def test_console_script_runs():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["result"]["K"] == -1.0
+
+
+def test_main_leaves_the_garbage_collector_unfrozen(capsys):
+    # Only the process entry point freezes the heap before exit; callers
+    # that run main in-process keep their collections.
+    assert run_cli(capsys, "eval", "--surface", "x*y", "--at", "1,2")[0] == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_the_entry_point_freezes_the_heap_before_exit():
+    code = ("import atexit, gc, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "sys.argv = ['isocurv', 'eval', '--surface', 'x*y', '--at', '1,2']\n"
+            "from isocurv.cli import entrypoint\n"
+            "entrypoint()\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "True\n")
+    assert json.loads(proc.stdout)["result"]["K"] == -1.0
 
 
 def test_module_entry_point_runs():

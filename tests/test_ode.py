@@ -156,11 +156,13 @@ def test_a_non_finite_state_is_refused():
 
 
 # -- bit identity with the stepper as first written --------------------------------
-# The reference below is the integrator before the right-hand side was bound
-# once per call: one call per stage into numerator and denominator. The
-# bound stepper keeps every float operation in its order and grouping, so
-# both must give the same bits and raise at the same t. The reference notes
-# where (step part, stage) a vanishing denominator was hit.
+# The reference below is the integrator as first written: one call per stage
+# into numerator and denominator, 12 per step. The emitted stepper writes f''
+# into each stage and shares the full step's first stage with the first half
+# step, whose inputs are the same, so it evaluates f'' 11 times per step. It
+# keeps every float operation in its order and grouping, so both must give
+# the same bits and raise at the same t. The reference notes where (step
+# part, stage) a vanishing denominator was hit.
 
 
 def _ref_accel(rhs, t, f, fp, where):
@@ -301,6 +303,14 @@ def test_linear_force_solution_values():
     assert linear_force_solution(-1.0, 1.0, 0.0, math.pi) == pytest.approx(-1.0)
     with pytest.raises(InvalidSpecError):
         linear_force_solution(0.0, 1.0, 0.0, 1.0)
+
+
+def test_linear_force_solution_names_an_overflow():
+    # cosh(w t) passes the float range at w t ~ 710.48 even where y0 cosh +
+    # yp0/w sinh = e^-t is tiny.
+    assert math.isfinite(linear_force_solution(1.0, 1.0, -1.0, 710.0))
+    with pytest.raises(NumericOverflowError, match=r"^closed form overflows at t = 710\.5$"):
+        linear_force_solution(1.0, 1.0, -1.0, 710.5)
 
 
 def test_residual_vanishes_on_jets_of_the_solution_family():

@@ -9,9 +9,14 @@ must update it here.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import isocurv
 from isocurv.cli import main
 
 SPECS = {
@@ -38,6 +43,13 @@ COMMANDS = {
                        "--out", "c31.obj"], "c31.obj"),
     "ode-out": (["ode", "--ode", "saturated-linear", "--c5", "-2", "--f0", "1", "--fp0", "0.5",
                  "--t-end", "1", "--step", "0.125", "--out", "traj.csv"], "traj.csv"),
+    # 10,000-step runs in the shapes of the benchmark's timed ODE operations.
+    "ode-reciprocal-long": (["ode", "--ode", "shifted-reciprocal", "--c3", "1.25", "--m0", "-0.75",
+                             "--oracle-c4", "0.5", "--oracle-d9", "1.25", "--f0", "-0.5",
+                             "--fp0", "0.32", "--t-end", "1", "--step", "0.0001"], None),
+    "ode-cosh-long-out": (["ode", "--ode", "saturated-linear", "--c5", "1.5", "--d10", "0",
+                           "--f0", "0.75", "--fp0", "0.25", "--t-end", "1", "--step", "0.0001",
+                           "--out", "long.csv"], "long.csv"),
 }
 
 # name -> (exit code, sha256 of stdout, sha256 of the output file or None)
@@ -51,6 +63,8 @@ PINNED = {
     "mesh-surface": (0, "3940094e4ca60b7e5582a24cd658b46a69710003e5957c845610f425cccaafb7", "a6e3c90c4f139425e52145ead389bea3cf9dc982a0df7924a04558c85880a70c"),
     "mesh-spec-gap": (0, "b7abe602056f70bdcf3ad938442655a692709c1584360cc35ae7dd9d9065df06", "14f24c569382250065ef4f1dc5a6059bd1bd91e92d1986174eafaf5828feb157"),
     "ode-out": (1, "9bb51cde676f82c9fb366b4c0d4f11e288445420e61230acdc2ebac1d69fca9c", "1a07b132c1cf2934b4dff9b767e0d7c6cc2831ced72c44318216749a98fb76eb"),
+    "ode-reciprocal-long": (0, "39838cb52f79f57023dd0ed1e7e2f864314db720d4b5f1a1a2d9339115c53408", None),
+    "ode-cosh-long-out": (0, "1fc3fed7663bce51b886f51c2232d75567e535ffc0ace5dc3f64de1b94414272", "1433f36599d54e7ace2f5a14bc7b632be4c77e2ba3039ad056a6c1002781a91f"),
 }
 
 
@@ -58,14 +72,32 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _write_specs(directory: Path) -> None:
+    for spec_name, spec in SPECS.items():
+        (directory / spec_name).write_text(json.dumps(spec), encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", COMMANDS)
 def test_report_and_files_are_pinned(capsys, tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
-    for spec_name, spec in SPECS.items():
-        (tmp_path / spec_name).write_text(json.dumps(spec), encoding="utf-8")
+    _write_specs(tmp_path)
     argv, out = COMMANDS[name]
     code = main(argv)
     captured = capsys.readouterr()
     assert captured.err == ""
     file_sha = _sha((tmp_path / out).read_bytes()) if out else None
     assert (code, _sha(captured.out.encode()), file_sha) == PINNED[name]
+
+
+def test_the_module_entry_point_gives_the_pinned_bytes(tmp_path):
+    # python -m isocurv ends through cli.entrypoint, which main alone does
+    # not reach: its exit code and output must be those of main.
+    _write_specs(tmp_path)
+    src = str(Path(isocurv.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for name, (argv, out) in COMMANDS.items():
+        proc = subprocess.run([sys.executable, "-m", "isocurv", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, timeout=60)
+        assert proc.stderr == b"", name
+        file_sha = _sha((tmp_path / out).read_bytes()) if out else None
+        assert (proc.returncode, _sha(proc.stdout), file_sha) == PINNED[name], name
