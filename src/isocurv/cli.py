@@ -53,7 +53,7 @@ class _UsageError(IsocurvError):
     main reports it like every other error, as one error: line and exit 2."""
 
 
-def _numbers(kind: type, metavar: str) -> Callable[[str], tuple]:
+def _numbers(kind: Callable[[str], float], metavar: str) -> Callable[[str], tuple]:
     """Converter for the comma-separated numbers that metavar names."""
 
     def convert(text: str) -> tuple:
@@ -121,16 +121,8 @@ def cmd_eval(args) -> tuple:
 
 
 def cmd_scan(args) -> tuple:
-    from .cli import (
-        LWParams,
-        euler_residual_fn,
-        jacobian_residual_fn,
-        lw_residual_fn,
-        normalize,
-        parse,
-        scan_grid,
-        to_string,
-    )
+    from .cli import (LWParams, euler_residual_fn, jacobian_residual_fn, lw_residual_fn,
+                      normalize, parse, scan_grid, to_string)
 
     surface = parse(args.surface)
     params: dict = {"residual": args.residual}
@@ -296,7 +288,7 @@ _REQUIRED = object()
 _COMMANDS = {
     "eval": (cmd_eval, "jet, K, H at a point", {
         "--surface": (str, _REQUIRED, "expression in x and y"),
-        "--at": (_numbers(float, "X,Y"), _REQUIRED, "the point X,Y"),
+        "--at": (_numbers(_finite, "X,Y"), _REQUIRED, "the point X,Y"),
     }),
     "scan": (cmd_scan, "residual statistics over a grid", {
         "--surface": (str, _REQUIRED, "expression in x and y"),

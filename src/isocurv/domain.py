@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .errors import EmptyDomainError, record, require_finite
 
 DEFAULT_EXCLUSION_RADIUS = 1e-2
@@ -35,10 +37,12 @@ class GridDomain:
 
     def __post_init__(self):
         require_finite(self, "x_min", "x_max", "y_min", "y_max", "exclusion_radius")
-        if not self.x_min < self.x_max:
-            raise ValueError("x_min must be below x_max")
-        if not self.y_min < self.y_max:
-            raise ValueError("y_min must be below y_max")
+        for axis in "xy":
+            low, high = getattr(self, f"{axis}_min"), getattr(self, f"{axis}_max")
+            if not low < high:
+                raise ValueError(f"{axis}_min must be below {axis}_max")
+            if not math.isfinite(high - low):  # finite ends can span more than the largest float
+                raise ValueError(f"{axis}_max - {axis}_min must be finite")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
         if self.nx * self.ny > _MAX_NODES:

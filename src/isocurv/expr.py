@@ -382,13 +382,14 @@ _JET_RULES = {
 }
 
 
-def compile_jet(e: Expr, order: int = 2):
+def compile_jet(e: Expr, order: int = 2, tail: str = "", **constants: float):
     """Compile e once into kernel(x, y) -> Jet2, or Jet3 at order 3, or the
     value as a float at order 0: straight-line statements that compute its
     jet of that order at (x, y), bit for bit but for the sign of a zero as
-    one jet operation at a time would, raising the same errors."""
+    one jet operation at a time would, raising the same errors. A tail
+    (see jet.Tape.function) makes the kernel return its float instead."""
     t = jetmath.Tape(order)
-    return t.function(_emit(t, e, t.seed("x", dx="1.0"), t.seed("y", dy="1.0")))
+    return t.function(_emit(t, e, t.seed("x", dx="1.0"), t.seed("y", dy="1.0")), tail, **constants)
 
 
 # The tree and order evaluated last and their kernel: every caller evaluates

@@ -20,6 +20,7 @@ nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import (
@@ -141,25 +142,32 @@ def _rk4(rhs: tuple, t: str, f: str, p: str, h: str, hh: str, h6: str, a1: str, 
                     f"fp{s} = {p} + {h6} * ({a1} + 2.0 * a2{s} + 2.0 * a3{s} + a4{s})"]
 
 
+@functools.cache
+def _stepper(rhs: tuple):
+    """The code of the loop with f'' = rhs[1] / rhs[0], sources over {F} and {P}."""
+    stages = [*_stage(rhs, "t", "f", "fp", "a1"),
+              *_rk4(rhs, "t", "f", "fp", "h", "hh", "h6", "a1", "_full"),
+              *_rk4(rhs, "t", "f", "fp", "hh", "qh", "hh6", "a1", "_half"),
+              *_stage(rhs, "(t + hh)", "f_half", "fp_half", "a1_2"),
+              *_rk4(rhs, "(t + hh)", "f_half", "fp_half", "hh", "qh", "hh6", "a1_2", "_2")]
+    return compile(_LOOP.replace("STAGES", "\n        ".join(stages)), "<rk4 stepper>", "exec")
+
+
 def integrate(ivp: IVP) -> list[tuple[float, float, float]]:
     """Trajectory [(t, f, f'), ...] from t0 to t_end inclusive.
 
     The span is divided into round(span/step) equal steps. Every step is
     also taken as two half steps; a discrepancy above LOCAL_ERROR_LIMIT
     raises StepTooLarge with the offending location, and a non-finite state
-    raises NumericOverflowError naming the step's t. The loop is emitted once
-    per call with f'' written into each stage, every float operation in the
-    textbook RK4 order and grouping.
+    raises NumericOverflowError naming the step's t. The loop is compiled
+    once per equation kind with f'' written into each stage, every float
+    operation in the textbook RK4 order and grouping; each call binds the
+    constants, DENOMINATOR_FLOOR and LOCAL_ERROR_LIMIT afresh.
     """
     rhs = ivp.rhs._rhs()
-    stages = [*_stage(rhs, "t", "f", "fp", "a1"),
-              *_rk4(rhs, "t", "f", "fp", "h", "hh", "h6", "a1", "_full"),
-              *_rk4(rhs, "t", "f", "fp", "hh", "qh", "hh6", "a1", "_half"),
-              *_stage(rhs, "(t + hh)", "f_half", "fp_half", "a1_2"),
-              *_rk4(rhs, "(t + hh)", "f_half", "fp_half", "hh", "qh", "hh6", "a1_2", "_2")]
     namespace = {"floor": DENOMINATOR_FLOOR, "limit": LOCAL_ERROR_LIMIT, "DegenerateODEError": DegenerateODEError,
                  "StepTooLargeError": StepTooLargeError, "NumericOverflowError": NumericOverflowError, **rhs[2]}
-    exec(compile(_LOOP.replace("STAGES", "\n        ".join(stages)), "<rk4 stepper>", "exec"), namespace)
+    exec(_stepper(rhs[:2]), namespace)
     span = ivp.t_end - ivp.t0
     n = max(1, round(span / ivp.step))
     return namespace["run"](ivp.t0, ivp.y0, ivp.yp0, n, span / n)

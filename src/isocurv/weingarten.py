@@ -12,6 +12,10 @@ scan machinery:
 * the Jacobian of the map (x, y) -> (K, H), whose vanishing marks a
   W-surface (some functional relation between the invariants holds),
   computed exactly from one third-order jet per point.
+
+The lw and euler scans emit their residual into the order-2 kernel, so a
+node builds no Jet2 and no CurvaturePair, with the float operations, and
+so the bits, of lw_residual(curvatures(j), params) and euler_residual(j).
 """
 
 from __future__ import annotations
@@ -19,18 +23,10 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 
-from .curvature import CurvaturePair, curvatures
 from .domain import GridDomain
-from .errors import (
-    DegenerateWeingartenError,
-    EmptyDomainError,
-    IsocurvError,
-    NumericOverflowError,
-    asdict,
-    record,
-    require_finite,
-)
-from .expr import Expr, eval_jet
+from .errors import (DegenerateWeingartenError, EmptyDomainError, IsocurvError,
+                     NumericOverflowError, asdict, record, require_finite)
+from .expr import Expr, compile_jet, eval_jet
 from .jet import Jet2
 
 
@@ -64,6 +60,7 @@ def normalize(params: LWParams) -> NormalizedLW:
     return NormalizedLW(m0=params.a / (2.0 * params.b), n0=params.c / params.b)
 
 
+# CurvaturePair is named here, not imported: a scan does not load curvature.
 def lw_residual(pair: CurvaturePair, params: LWParams) -> float:
     return params.a * pair.H + params.b * pair.K - params.c
 
@@ -90,18 +87,33 @@ def weingarten_jacobian(surface: Expr, p: tuple[float, float]) -> float:
 ResidualFn = Callable[[Expr, float, float], float]
 
 
-def lw_residual_fn(params: LWParams) -> ResidualFn:
-    def lw(surface: Expr, x: float, y: float) -> float:
-        return lw_residual(curvatures(eval_jet(surface, (x, y))), params)
+def _tailed(name: str, tail: str, **constants: float) -> ResidualFn:
+    """The residual that the order-2 kernel of each tree returns with tail,
+    over the atoms {3} dxx, {4} dxy and {5} dyy and the constants, emitted
+    into it; the kernel is compiled once per tree."""
+    last: tuple = (None, None)
 
-    return lw
+    def residual(surface: Expr, x: float, y: float) -> float:
+        nonlocal last
+        tree, kernel = last  # one read, so a swap by another thread cannot mix trees
+        if tree is not surface:
+            kernel = compile_jet(surface, 2, tail, **constants)
+            last = (surface, kernel)
+        return kernel(x, y)
+
+    residual.__name__ = name
+    return residual
+
+
+def lw_residual_fn(params: LWParams) -> ResidualFn:
+    # lw_residual over curvatures' K = dxx dyy - dxy^2 and H = (dxx + dyy) / 2.
+    tail = "a * (0.5 * ({3} + {5})) + b * ({3} * {5} - {4} * {4}) - c"
+    return _tailed("lw", tail, a=params.a, b=params.b, c=params.c)
 
 
 def euler_residual_fn() -> ResidualFn:
-    def euler(surface: Expr, x: float, y: float) -> float:
-        return euler_residual(eval_jet(surface, (x, y)))
-
-    return euler
+    # euler_residual with d = dxx - dyy written out twice.
+    return _tailed("euler", "({3} - {5}) * ({3} - {5}) + 4.0 * ({4} * {4})")
 
 
 def jacobian_residual_fn() -> ResidualFn:

@@ -176,6 +176,17 @@ ODE_SL = "ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1 --step 0.1 
         pytest.param("mesh --spec {d9_nan} --out {out}", "field 'd9' must be finite", id="spec-nan"),
         pytest.param("mesh --spec {d9_huge} --out {out}", "field 'd9' must be finite", id="spec-huge-int"),
         pytest.param("verify-family --spec {c8_1e400}", "field 'c8' must be finite", id="spec-1e400"),
+        # A non-finite point once reached json (inf) or the jet's guard (nan).
+        pytest.param("eval --surface 1 --at=inf,0", "at must be finite", id="eval-at-inf"),
+        pytest.param("eval --surface 1 --at=-inf,0", "at must be finite", id="eval-at-minus-inf"),
+        pytest.param("eval --surface 1 --at=0,nan", "at must be finite", id="eval-at-nan"),
+        # Finite ends whose span overflows once gave the node x = nan.
+        pytest.param("scan --surface 1 --residual euler --grid 2,2 --domain=-1e308,1e308,-1,1",
+                     "x_max - x_min must be finite", id="scan-span"),
+        pytest.param("mesh --surface x --grid 2,2 --domain=-1e308,1e308,-1,1 --out {out}",
+                     "x_max - x_min must be finite", id="mesh-span"),
+        pytest.param("verify-family --spec {casea} --grid 3,3 --domain=-1,1,-1.7e308,1.7e308",
+                     "y_max - y_min must be finite", id="family-span"),
     ],
 )
 def test_non_finite_input_is_named(capsys, tmp_path, argv, message):

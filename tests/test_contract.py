@@ -1,11 +1,13 @@
 """The exit-code contract under fuzzed arguments.
 
 cli.main runs in-process on seeded argument lists for every subcommand,
-with values that include NaN, infinities, -0.0 and 1e308, grids and step
-counts either small or above the caps, surfaces and family specs that are
-invalid or nest too deeply, and flags that are unknown, lack their value or
-ask for help. Every run must exit 0, 1 or 2 and let nothing escape; on 0 it
-writes strict JSON or, for -h, the help; on 1 strict JSON; on 2 nothing to
+with values that include NaN, infinities, texts that overflow to them,
+-0.0 and 1e308, lw coefficients whose products with K and H overflow,
+domain axes whose span overflows, grids and step counts either small or
+above the caps, surfaces and family specs that are invalid or nest too
+deeply, and flags that are unknown, lack their value or ask for help.
+Every run must exit 0, 1 or 2 and let nothing escape; on 0 it writes
+strict JSON or, for -h, the help; on 1 strict JSON; on 2 nothing to
 stdout and one error line. Each run ends within a generous time bound.
 """
 
@@ -27,10 +29,19 @@ TIME_BOUND_S = 10.0
 
 # Each strategy pair is the plain values, which mostly run to a verdict,
 # and the odd ones, which arithmetic, the checks and the caps trip on.
+# The texts 1e309 and -1e999 read as infinities.
 NUMBERS = (
     st.sampled_from([-1.0, 0.25, 0.5, 1.0, 2.0, 3.0]),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308, "1e309", "-1e999"]),
 )
+# Relation coefficients: with the plain ones, finite ones whose products
+# with K and H overflow in the lw residual.
+COEFFICIENTS = (
+    st.sampled_from([-1.0, 0.25, 0.5, 1.0, 2.0, 3.0, 1e154, -1e200, 1e308, -1e308]),
+    NUMBERS[1],
+)
+# Finite ends of a domain axis whose span overflows.
+SPANS = st.sampled_from([(-1e308, 1e308), (-1.7976931348623157e308, 1e300)])
 # A few nodes per axis; or too few, or more nodes than the grid cap allows.
 GRIDS = (
     st.tuples(st.integers(2, 5), st.integers(2, 5)),
@@ -114,12 +125,15 @@ def _argv(draw, tmp_path) -> list[str]:
         if not odd:  # a rectangle, and a radius that is not negative
             x0, x1, y0, y1 = min(x0, x1), max(x0, x1) + 1.0, min(y0, y1), max(y0, y1) + 1.0
             exclusion = None if exclusion is None else abs(exclusion)
+        # One draw in eight, plain or odd, takes one axis from SPANS.
+        if draw(st.sampled_from([True] + [False] * 7)):
+            x0, x1, y0, y1 = draw(SPANS) + (y0, y1) if draw(st.booleans()) else (x0, x1) + draw(SPANS)
         flags.update(domain=(x0, x1, y0, y1) if draw(st.booleans()) else None,
                      grid=pick(GRIDS, optional=True), exclusion=exclusion)
         if command == "scan":
             residual = draw(st.sampled_from(["lw", "euler", "jacobian"]))
             flags.update(surface=pick(SURFACES), residual=residual, tol=pick(NUMBERS, optional=True),
-                         **{name: pick(NUMBERS, optional=residual != "lw" or odd) for name in "abc"})
+                         **{name: pick(COEFFICIENTS, optional=residual != "lw" or odd) for name in "abc"})
         else:
             if command == "mesh":
                 flags.update(out=tmp_path / "surface.obj", surface=pick(SURFACES, optional=True))

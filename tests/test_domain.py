@@ -21,6 +21,23 @@ def test_defaults():
     assert DEFAULT_EXCLUSION_RADIUS == 1e-2
 
 
+@pytest.mark.parametrize(
+    "ends, message",
+    [
+        ({"x_min": -1e308, "x_max": 1e308}, "x_max - x_min must be finite"),
+        ({"y_min": -1.7976931348623157e308, "y_max": 1e300}, "y_max - y_min must be finite"),
+    ],
+)
+def test_a_span_that_overflows_is_refused(ends, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GridDomain(nx=2, ny=2, **ends)
+
+
+def test_the_widest_finite_span_keeps_finite_nodes():
+    d = GridDomain(-8.9e307, 8.9e307, -1.0, 1.0, nx=3, ny=2)
+    assert d.xs() == [-8.9e307, 0.0, 8.9e307]
+
+
 def test_validation():
     with pytest.raises(ValueError):
         GridDomain(x_min=1.0, x_max=1.0)

@@ -19,9 +19,11 @@ from isocurv.errors import (
     IsocurvError,
     NumericOverflowError,
 )
+from isocurv.curvature import curvatures
 from isocurv.expr import Add, Div, Expr, Mul, Pow, _emit, compile_jet, eval_jet, lift_1d, num, parse
 from isocurv.jet import Jet2, Tape
 from isocurv.oracle import eval_value
+from isocurv.weingarten import LWParams, euler_residual, euler_residual_fn, lw_residual, lw_residual_fn
 
 COMPONENTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
 THIRD = ("dxxx", "dxxy", "dxyy", "dyyy")
@@ -385,6 +387,34 @@ def test_order_3_kernels_extend_the_order_2_kernels_bit_for_bit():
         assert bits(kernels[0](*p)) == bits(j3), (e, p)
         checked += 1
     assert checked > 5000
+
+
+def _rendered(fn, *args) -> str:
+    """fn(*args) as float.hex, or the evaluation error's class and message."""
+    try:
+        return fn(*args).hex()
+    except (IsocurvError, ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_residual_tails_give_the_residuals_of_the_jet_bit_for_bit():
+    """The euler and lw residual functions, whose kernels return the
+    residual in place of the jet, give the bits of euler_residual and
+    lw_residual(curvatures(...)) on eval_jet's jet, or raise its error with
+    the same message; the lw coefficients include zero and ones that
+    overflow the residual."""
+    lw_params = (LWParams(0.0, -0.75, 1e-3), LWParams(1e300, -1e300, 3.0))
+    residuals = [(euler_residual_fn(), euler_residual)]
+    for params in lw_params:
+        residuals.append((lw_residual_fn(params),
+                          lambda j, params=params: lw_residual(curvatures(j), params)))
+    checked = 0
+    for e, p in _sampled_cases():
+        for fn, of_jet in residuals:
+            expected = _rendered(lambda: of_jet(eval_jet(e, p)))
+            assert _rendered(fn, e, *p) == expected, (e, p)
+            checked += expected.startswith(("0x", "-0x", "inf", "-inf", "nan"))
+    assert checked > 15000
 
 
 # -- order 0 -------------------------------------------------------------------

@@ -270,6 +270,25 @@ def test_a_vanishing_denominator_is_raised_at_the_reference_stage(monkeypatch):
     assert {(part, stage) for part in ("full", "half") for stage in ("first", "mid", "last")} <= hits
 
 
+def test_the_stepper_is_compiled_once_per_equation_kind(monkeypatch):
+    """The compiled loop is shared by each equation kind; its constants,
+    floor and error limit are bound at every call."""
+    ode._stepper.cache_clear()
+    span = dict(t0=0.0, y0=1.0, yp0=0.5, t_end=1.0, step=0.25)
+    runs = [integrate(IVP(SaturatedLinearODE(c5, 0.5), **span)) for c5 in (1.0, 2.0, -1.0)]
+    runs.append(integrate(IVP(ShiftedReciprocalODE(1.0, 4.0), **span)))
+    assert (ode._stepper.cache_info().misses, ode._stepper.cache_info().hits) == (2, 2)
+    assert len({run[-1] for run in runs}) == 4
+    monkeypatch.setattr(ode, "LOCAL_ERROR_LIMIT", 0.0)
+    with pytest.raises(StepTooLargeError):
+        integrate(IVP(SaturatedLinearODE(1.0, 0.5), **span))
+    monkeypatch.setattr(ode, "LOCAL_ERROR_LIMIT", 1e-3)
+    monkeypatch.setattr(ode, "DENOMINATOR_FLOOR", 10.0)
+    with pytest.raises(DegenerateODEError):
+        integrate(IVP(SaturatedLinearODE(1.0, 0.5), **span))
+    assert ode._stepper.cache_info().misses == 2
+
+
 # -- closed forms ------------------------------------------------------------------
 
 

@@ -128,6 +128,16 @@ def test_eval_and_scan_load_no_subcommand_module(argv):
     assert not loaded_modules(run_module(argv.split())) & HEAVY
 
 
+@pytest.mark.parametrize("residual", ["lw --a 1 --b 1 --c 2", "euler", "jacobian"])
+def test_a_scan_loads_no_curvature_module(residual):
+    """The lw and euler residuals are emitted into the kernel, so no node
+    builds a CurvaturePair."""
+    argv = f"scan --surface 0.5*(x^2+y^2) --grid 2,2 --residual {residual}".split()
+    loaded = loaded_modules(run_module(argv))
+    assert "isocurv.weingarten" in loaded
+    assert "isocurv.curvature" not in loaded
+
+
 def test_ode_loads_only_the_integrator():
     argv = "ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1 --step 0.1"
     assert loaded_modules(run_module(argv.split())) == {

@@ -12,6 +12,7 @@ from isocurv import (
     EmptyDomainError,
     EvaluationDomainError,
     GridDomain,
+    IsocurvError,
     LWParams,
     NormalizedLW,
     NumericOverflowError,
@@ -234,6 +235,51 @@ def test_scan_grid_euler_varies_for_nonflat_product():
     report = scan_grid(parse("exp(x)*sin(y)"), domain, euler_residual_fn())
     assert report.max_abs > 1e-3
     assert report.std_dev > 0.0
+
+
+# -- residuals emitted into the kernel ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "surface, kind, message",
+    [
+        ("ln(0.5+x*y)", "lw", "ln of non-positive value -2.5 at (x, y) = (1.0, -3.0) in the lw residual"),
+        ("exp(800*x)", "euler", "exp overflow at argument 800.0 at (x, y) = (1.0, -1.0) in the euler residual"),
+        # exp(700) is finite, and its partials in x overflow.
+        ("exp(700*x)", "euler",
+         "jet evaluation produced a non-finite value at (x, y) = (1.0, -1.0) in the euler residual"),
+        ("exp(700*x)", "lw", "jet evaluation produced a non-finite value at (x, y) = (1.0, -1.0) in the lw residual"),
+        # Only z_x overflows, and the residuals read no first partial.
+        ("x*1e300*1e300", "euler",
+         "jet evaluation produced a non-finite value at (x, y) = (-1.0, -1.0) in the euler residual"),
+        ("x*1e300*1e300", "lw", "jet evaluation produced a non-finite value at (x, y) = (-1.0, -1.0) in the lw residual"),
+        # A finite jet whose residual overflows is named by summarize.
+        ("1e160*x^2", "lw", "non-finite residual inf at (x, y) = (-1.0, -1.0)"),
+        ("1e160*x*y", "euler", "non-finite residual inf at (x, y) = (-1.0, -1.0)"),
+        ("1e200*x*y+1e200*x^2", "lw", "non-finite residual nan at (x, y) = (-1.0, -1.0)"),
+    ],
+)
+def test_a_scan_raises_at_the_node_and_with_the_message_of_the_jet(surface, kind, message):
+    """Each message is the one that the residual of eval_jet's jet gave:
+    the kernel refuses a non-finite jet before its tail runs."""
+    domain = GridDomain(-3.0, 3.0, -3.0, 3.0, nx=7, ny=7) if surface.startswith("ln") else GridDomain(nx=5, ny=5)
+    fn = euler_residual_fn() if kind == "euler" else lw_residual_fn(LWParams(1e200, 1e200, 1.0))
+    with pytest.raises((IsocurvError, ArithmeticError)) as exc_info:
+        scan_grid(parse(surface), domain, fn)
+    assert str(exc_info.value) == message
+
+
+def test_one_residual_function_alternates_between_trees():
+    """Each call on another tree than the last compiles that tree's kernel."""
+    params = LWParams(1.0, 1.0, 2.0)
+    lw, euler = lw_residual_fn(params), euler_residual_fn()
+    trees = (parse("0.5*(x^2+y^2)"), parse("exp(x)*sin(y)"), parse("x*y"))
+    for x, y in ((0.5, 2.0), (-0.25, 0.75), (0.5, 2.0)):
+        for surface in trees:
+            j = eval_jet(surface, (x, y))
+            assert lw(surface, x, y).hex() == lw_residual(curvatures(j), params).hex()
+            assert euler(surface, x, y).hex() == euler_residual(j).hex()
+    assert (lw(trees[0], 0.5, 2.0), lw(trees[2], 0.5, 2.0)) == (0.0, -3.0)
 
 
 # -- flat storage ----------------------------------------------------------------
