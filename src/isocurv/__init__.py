@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 # Submodule -> the public names it holds.
 _EXPORTS = {
     "curvature": ("CurvaturePair", "curvatures"),
-    "domain": ("DEFAULT_EXCLUSION_RADIUS", "GridDomain", "VerticalLine"),
+    "domain": ("DEFAULT_EXCLUSION_RADIUS", "GridDomain"),
     "errors": (
         "DegenerateODEError", "DegenerateWeingartenError", "DivisionByZeroError",
         "EmptyDomainError", "EvaluationDomainError", "InvalidSpecError",

@@ -28,7 +28,7 @@ from collections.abc import Callable
 from types import SimpleNamespace
 
 from . import __getattr__ as _package_name
-from .domain import DEFAULT_EXCLUSION_RADIUS, GridDomain, VerticalLine
+from .domain import DEFAULT_EXCLUSION_RADIUS, GridDomain
 from .errors import IsocurvError, asdict
 
 
@@ -96,7 +96,7 @@ def _domain_flags(exclusion: float) -> dict:
     }
 
 
-def _domain(args, params: dict, loci: tuple[VerticalLine, ...] = ()) -> GridDomain:
+def _domain(args, params: dict, loci: tuple[float, ...] = ()) -> GridDomain:
     """The grid that the domain flags give, avoiding loci; the flags also
     go into params."""
     domain = GridDomain(*args.domain, *args.grid, args.exclusion, loci)
@@ -388,6 +388,21 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
     return SimpleNamespace(command=command, **values)
 
 
+def _non_finite(value, path: str) -> str | None:
+    """The message "path = value is not finite" for the first float in
+    value, depth first, that is not finite; path names it by keys and
+    indices."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else f"{path} = {value!r} is not finite"
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, p) for p, v in items)), None)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
@@ -404,8 +419,10 @@ def main(argv: list[str] | None = None) -> int:
             "pass": passed,
             "tolerances": tolerances,
         }
-        # RFC 8259 has no NaN or Infinity: such a report is an error.
-        text = json.dumps(report, indent=2, allow_nan=False)
+        try:
+            text = json.dumps(report, indent=2, allow_nan=False)
+        except ValueError as err:  # RFC 8259 has no NaN or Infinity
+            raise ValueError(_non_finite(report, "") or err) from None
     except json.JSONDecodeError as err:
         print(f"error: invalid JSON in family spec: {err}", file=sys.stderr)
         return 2

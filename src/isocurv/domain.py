@@ -12,18 +12,12 @@ _MAX_NODES = 10_000_000
 
 
 @record
-class VerticalLine:
-    """Locus x = value, independent of y."""
-
-    x: float
-
-
-@record
 class GridDomain:
     """Uniform nx-by-ny grid over [x_min, x_max] x [y_min, y_max].
 
-    Nodes within exclusion_radius of any singular locus are skipped by
-    consumers; a radius of zero still drops exact hits.
+    Each singular locus is the abscissa c of a line x = c. Nodes within
+    exclusion_radius of one are skipped by consumers; a radius of zero
+    still drops exact hits.
     """
 
     x_min: float = -1.0
@@ -33,7 +27,7 @@ class GridDomain:
     nx: int = 101
     ny: int = 101
     exclusion_radius: float = 0.0
-    singular_loci: tuple[VerticalLine, ...] = ()
+    singular_loci: tuple[float, ...] = ()
 
     def __post_init__(self):
         require_finite(self, "x_min", "x_max", "y_min", "y_max", "exclusion_radius")
@@ -60,14 +54,14 @@ class GridDomain:
 
     def columns(self) -> list[tuple[int, float]]:
         """(i, x) of each kept grid column, in order. Every locus is a
-        vertical line, so a column is kept or dropped whole."""
-        kept = [(i, x) for i, x in enumerate(self.xs()) if self.included(x, self.y_min)]
+        line x = c, so a column is kept or dropped whole."""
+        kept = [(i, x) for i, x in enumerate(self.xs()) if self.included(x)]
         if not kept:
             raise EmptyDomainError("every grid node was excluded")
         return kept
 
-    def included(self, x: float, y: float) -> bool:
-        for locus in self.singular_loci:
-            if abs(x - locus.x) <= self.exclusion_radius:
+    def included(self, x: float) -> bool:
+        for c in self.singular_loci:
+            if abs(x - c) <= self.exclusion_radius:
                 return False
         return True

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from .curvature import curvatures
-from .domain import GridDomain, VerticalLine
+from .domain import GridDomain
 from .errors import (
     EmptyDomainError,
     InvalidSpecError,
@@ -48,6 +48,8 @@ class CaseA:
 
     def __post_init__(self):
         require_nonzero(self, "f0", "m0")
+        if self.f0 * self.m0 == 0.0:  # n0 / (f0 * m0) builds the surface
+            raise InvalidSpecError("CaseA requires f0 * m0 != 0")
 
 
 @record
@@ -63,6 +65,8 @@ class CaseB:
 
     def __post_init__(self):
         require_nonzero(self, "g0", "m0")
+        if self.g0 * self.m0 == 0.0:  # n0 / (g0 * m0) builds the surface
+            raise InvalidSpecError("CaseB requires g0 * m0 != 0")
 
 
 @record
@@ -199,10 +203,10 @@ def build(spec: FamilySpec) -> Expr:
             raise InvalidSpecError(f"not a family spec: {spec!r}")
 
 
-def singular_loci(spec: FamilySpec) -> tuple[VerticalLine, ...]:
-    """Loci a sampling grid must avoid for this family."""
+def singular_loci(spec: FamilySpec) -> tuple[float, ...]:
+    """Abscissas c of the lines x = c that a grid must avoid for this family."""
     if isinstance(spec, Case31Candidate):
-        return (VerticalLine(-spec.d9 / spec.c4),)
+        return (-spec.d9 / spec.c4,)
     return ()
 
 

@@ -185,13 +185,14 @@ class Tape:
     def function(self, result: Src, tail: str = "", **constants: float):
         """Compile into kernel(x, y) -> Jet2 or Jet3, or the bare float at
         order 0, refusing a non-finite result. A tail, one formula over the
-        result's atoms as {k} and the constants by name, makes the kernel
-        return its float instead, after the same refusal."""
+        result's atoms by field name ({dxx}) and the constants by name,
+        makes the kernel return its float instead, after the same refusal."""
         finite = " or ".join(f"not isfinite({c})" for c in result if c.isidentifier())
         if finite:
             self.guard(f"if {finite}", "NumericOverflowError", "jet evaluation produced a non-finite value")
         returned = f"Jet{self.order}({', '.join(result)})" if self.order else result[0]
-        self.lines.append(f"return {tail.format(*result) if tail else returned}")
+        fields = dict(zip(Jet3.__match_args__, result))
+        self.lines.append(f"return {tail.format_map(fields) if tail else returned}")
         body = "\n".join(self.lines).replace("\n", "\n    ")
         namespace = dict(_NAMESPACE, **constants)
         exec(compile(f"def kernel(x, y):\n    {body}", "<jet kernel>", "exec"), namespace)

@@ -207,9 +207,6 @@ def fd_jet(s: Expr, p: tuple[float, float]) -> Jet2:
     return Jet2(v, dx, dy, dxx, dxy, dyy)
 
 
-_COMPONENTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
-
-
 @record
 class JetComparison:
     """Per-component |a - b| deviations; a component is flagged when its
@@ -227,7 +224,7 @@ class JetComparison:
 def compare(a: Jet2, b: Jet2, tol_rel: float) -> JetComparison:
     deviations: dict[str, float] = {}
     flagged: list[str] = []
-    for name in _COMPONENTS:
+    for name in Jet2.__match_args__:
         av = getattr(a, name)
         bv = getattr(b, name)
         dev = abs(av - bv)

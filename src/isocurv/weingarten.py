@@ -89,8 +89,8 @@ ResidualFn = Callable[[Expr, float, float], float]
 
 def _tailed(name: str, tail: str, **constants: float) -> ResidualFn:
     """The residual that the order-2 kernel of each tree returns with tail,
-    over the atoms {3} dxx, {4} dxy and {5} dyy and the constants, emitted
-    into it; the kernel is compiled once per tree."""
+    over its {dxx}, {dxy} and {dyy} and the constants, emitted into it; the
+    kernel is compiled once per tree."""
     last: tuple = (None, None)
 
     def residual(surface: Expr, x: float, y: float) -> float:
@@ -107,13 +107,13 @@ def _tailed(name: str, tail: str, **constants: float) -> ResidualFn:
 
 def lw_residual_fn(params: LWParams) -> ResidualFn:
     # lw_residual over curvatures' K = dxx dyy - dxy^2 and H = (dxx + dyy) / 2.
-    tail = "a * (0.5 * ({3} + {5})) + b * ({3} * {5} - {4} * {4}) - c"
+    tail = "a * (0.5 * ({dxx} + {dyy})) + b * ({dxx} * {dyy} - {dxy} * {dxy}) - c"
     return _tailed("lw", tail, a=params.a, b=params.b, c=params.c)
 
 
 def euler_residual_fn() -> ResidualFn:
     # euler_residual with d = dxx - dyy written out twice.
-    return _tailed("euler", "({3} - {5}) * ({3} - {5}) + 4.0 * ({4} * {4})")
+    return _tailed("euler", "({dxx} - {dyy}) * ({dxx} - {dyy}) + 4.0 * ({dxy} * {dxy})")
 
 
 def jacobian_residual_fn() -> ResidualFn:
@@ -137,7 +137,8 @@ class ResidualReport:
 
 def summarize(values: Sequence[float], points) -> ResidualReport:
     """Statistics of raw residual values; std_dev is the population deviation
-    of the signed values, worst_point the first location of max |r|.
+    of the signed values (inf where it overflows), worst_point the first
+    location of max |r|.
     A NaN or infinite value raises NumericOverflowError naming its point;
     points is read by index only, there and at the worst value."""
     if not values:
@@ -158,8 +159,11 @@ def summarize(values: Sequence[float], points) -> ResidualReport:
     # Two correctly rounded passes over the values shifted by the first
     # one: a constant input gives exactly zero, not a rounding residue.
     shift = values[0]
-    mean = math.fsum(r - shift for r in values) / n
-    variance = math.fsum((r - shift - mean) ** 2 for r in values) / n
+    try:
+        mean = math.fsum(r - shift for r in values) / n
+        variance = math.fsum((r - shift - mean) ** 2 for r in values) / n
+    except OverflowError:  # fsum and float ** raise where + and * give inf
+        variance = math.inf
     return ResidualReport(
         n_samples=n,
         max_abs=max_abs,

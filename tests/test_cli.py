@@ -187,6 +187,25 @@ ODE_SL = "ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1 --step 0.1 
                      "x_max - x_min must be finite", id="mesh-span"),
         pytest.param("verify-family --spec {casea} --grid 3,3 --domain=-1,1,-1.7e308,1.7e308",
                      "y_max - y_min must be finite", id="family-span"),
+        # A report that json refuses names its first non-finite value.
+        pytest.param("eval --surface=1e200*x*y --at=1,1", "result.K = -inf is not finite", id="report-K"),
+        pytest.param("scan --surface=x*y --residual lw --a 1 --b 1e-320 --c 1e10 --grid 3,3",
+                     "params.lw.m0 = inf is not finite", id="report-m0"),
+        pytest.param("scan --surface=-x*y --residual lw --a=1e308 --b 1e154 --c=1e308 "
+                     "--domain 1.0,3.0,0.5,3.0 --grid 2,2", "result.mean_abs = inf is not finite",
+                     id="report-mean-abs"),
+        # The variance's squares once raised a bare OverflowError.
+        pytest.param("scan --surface=1e200*x^3 --residual lw --a 1 --b 0 --c 0 --grid 3,3",
+                     "result.std_dev = inf is not finite", id="report-std-dev"),
+        # n0 / (f0 * m0) once divided by the product's underflow to zero.
+        pytest.param("verify-family --spec {casea_tiny}", "CaseA requires f0 * m0 != 0",
+                     id="family-casea-product"),
+        pytest.param("mesh --spec {casea_tiny} --out {out}", "CaseA requires f0 * m0 != 0",
+                     id="mesh-casea-product"),
+        pytest.param("verify-family --spec {caseb_tiny}", "CaseB requires g0 * m0 != 0",
+                     id="family-caseb-product"),
+        pytest.param("mesh --spec {caseb_tiny} --out {out}", "CaseB requires g0 * m0 != 0",
+                     id="mesh-caseb-product"),
     ],
 )
 def test_non_finite_input_is_named(capsys, tmp_path, argv, message):
@@ -199,6 +218,8 @@ def test_non_finite_input_is_named(capsys, tmp_path, argv, message):
         "d9_inf": json.dumps(dict(CASE_31, d9=math.inf)),
         "d9_nan": json.dumps(dict(CASE_31, d9=math.nan)),
         "d9_huge": json.dumps(dict(CASE_31, d9=10**400)),
+        "casea_tiny": json.dumps(dict(CASE_A, f0=1e-200, m0=1e-200, n0=1.0)),
+        "caseb_tiny": '{"kind": "CaseB", "g0": 1e-200, "m0": 1e-200, "n0": 1, "d3": 0, "d4": 0}',
     }
     paths = {name: write_spec_text(tmp_path, f"{name}.json", text) for name, text in specs.items()}
     out = tmp_path / "out"

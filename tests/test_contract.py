@@ -2,13 +2,14 @@
 
 cli.main runs in-process on seeded argument lists for every subcommand,
 with values that include NaN, infinities, texts that overflow to them,
--0.0 and 1e308, lw coefficients whose products with K and H overflow,
+-0.0, 1e308 and the subnormal 1e-320, lw coefficients whose products with K and H overflow,
 domain axes whose span overflows, grids and step counts either small or
 above the caps, surfaces and family specs that are invalid or nest too
 deeply, and flags that are unknown, lack their value or ask for help.
 Every run must exit 0, 1 or 2 and let nothing escape; on 0 it writes
 strict JSON or, for -h, the help; on 1 strict JSON; on 2 nothing to
-stdout and one error line. Each run ends within a generous time bound.
+stdout and one error line, which names its cause rather than repeat a
+bare Python error. Each run ends within a generous time bound.
 """
 
 import contextlib
@@ -29,10 +30,12 @@ TIME_BOUND_S = 10.0
 
 # Each strategy pair is the plain values, which mostly run to a verdict,
 # and the odd ones, which arithmetic, the checks and the caps trip on.
-# The texts 1e309 and -1e999 read as infinities.
+# The texts 1e309 and -1e999 read as infinities; quotients by 1e-320
+# overflow, and its products underflow to zero.
 NUMBERS = (
     st.sampled_from([-1.0, 0.25, 0.5, 1.0, 2.0, 3.0]),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308, "1e309", "-1e999"]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308, 1e-320, "1e309",
+                     "-1e999"]),
 )
 # Relation coefficients: with the plain ones, finite ones whose products
 # with K and H overflow in the lw residual.
@@ -77,6 +80,8 @@ SURFACES = (
     st.one_of(st.sampled_from(["", "x +", "2x", "x^y", "foo(x)", "(x", "x\u00b2"]), NESTS),
 )
 KINDS = (CaseA, CaseB, CaseC, ParabolicSphere, NonIsotropicPlane, Case31Candidate)
+# The messages of bare Python errors, which a refusal must not repeat.
+BARE = ("Out of range float values", "Numerical result out of range", "float division by zero")
 
 
 def _text(value) -> str:
@@ -183,6 +188,7 @@ def test_every_run_keeps_the_exit_code_contract(tmp_path, data):
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert not any(text in err.getvalue() for text in BARE), err.getvalue()
     elif {"-h", "--help"} & set(argv):
         assert (code, err.getvalue()) == (0, "")
         assert out.getvalue().startswith(f"usage: isocurv {argv[0]} ")

@@ -3,12 +3,13 @@ import pytest
 from isocurv import (
     DEFAULT_EXCLUSION_RADIUS,
     IVP,
+    Case31Candidate,
     EmptyDomainError,
     GridDomain,
     LWParams,
     SaturatedLinearODE,
     ShiftedReciprocalODE,
-    VerticalLine,
+    singular_loci,
 )
 
 
@@ -80,56 +81,56 @@ def test_endpoints_exact():
 
 def test_no_loci_means_everything_included():
     d = GridDomain()
-    assert d.included(0.0, 0.0)
-    assert d.included(-1.0, 1.0)
+    assert d.included(0.0)
+    assert d.included(-1.0)
 
 
 def test_vertical_line_exclusion():
     d = GridDomain(
-        exclusion_radius=0.1, singular_loci=(VerticalLine(0.5),)
+        exclusion_radius=0.1, singular_loci=(0.5,)
     )
-    assert not d.included(0.5, 0.0)
-    assert not d.included(0.45, -1.0)  # any y, |x - 0.5| <= 0.1
-    assert not d.included(0.6, 3.0)  # boundary counts as excluded
-    assert d.included(0.61, 0.0)
-    assert d.included(0.0, 0.0)
+    assert not d.included(0.5)
+    assert not d.included(0.45)  # |x - 0.5| <= 0.1
+    assert not d.included(0.6)  # boundary counts as excluded
+    assert d.included(0.61)
+    assert d.included(0.0)
 
 
 def test_zero_radius_still_drops_exact_hits():
-    d = GridDomain(singular_loci=(VerticalLine(0.0), VerticalLine(0.5)))
+    d = GridDomain(singular_loci=(0.0, 0.5))
     assert d.exclusion_radius == 0.0
-    assert not d.included(0.0, 0.7)
-    assert not d.included(0.5, 0.5)
-    assert d.included(1e-300, 0.7)
-    assert d.included(0.5 + 1e-12, 0.5)
+    assert not d.included(0.0)
+    assert not d.included(0.5)
+    assert d.included(1e-300)
+    assert d.included(0.5 + 1e-12)
 
 
 def test_multiple_loci_combine():
     d = GridDomain(
         exclusion_radius=0.25,
-        singular_loci=(VerticalLine(-0.5), VerticalLine(0.5)),
+        singular_loci=(-0.5, 0.5),
     )
-    assert not d.included(-0.4, 0.9)
-    assert not d.included(0.5, 0.2)
-    assert d.included(0.0, 0.0)
+    assert not d.included(-0.4)
+    assert not d.included(0.5)
+    assert d.included(0.0)
 
 
 def test_columns_keep_pairs_around_a_gap():
-    d = GridDomain(nx=5, ny=2, exclusion_radius=0.3, singular_loci=(VerticalLine(0.0),))
+    d = GridDomain(nx=5, ny=2, exclusion_radius=0.3, singular_loci=(0.0,))
     assert d.columns() == [(0, -1.0), (1, -0.5), (3, 0.5), (4, 1.0)]
     assert GridDomain(nx=3, ny=2).columns() == [(0, -1.0), (1, 0.0), (2, 1.0)]
 
 
 def test_columns_drop_a_locus_on_a_node_at_radius_zero():
-    d = GridDomain(nx=3, ny=2, singular_loci=(VerticalLine(0.0),))
+    d = GridDomain(nx=3, ny=2, singular_loci=(0.0,))
     assert d.exclusion_radius == 0.0
     assert d.columns() == [(0, -1.0), (2, 1.0)]
-    off_node = GridDomain(nx=3, ny=2, singular_loci=(VerticalLine(1e-300),))
+    off_node = GridDomain(nx=3, ny=2, singular_loci=(1e-300,))
     assert off_node.columns() == [(0, -1.0), (1, 0.0), (2, 1.0)]
 
 
 def test_columns_refuse_a_grid_with_every_column_excluded():
-    d = GridDomain(nx=4, ny=2, exclusion_radius=2.0, singular_loci=(VerticalLine(0.0),))
+    d = GridDomain(nx=4, ny=2, exclusion_radius=2.0, singular_loci=(0.0,))
     with pytest.raises(EmptyDomainError, match="^every grid node was excluded$"):
         d.columns()
 
@@ -138,11 +139,33 @@ def test_columns_ask_included_once_per_column(monkeypatch):
     calls = []
     included = GridDomain.included
 
-    def counting(self, x, y):
-        calls.append((x, y))
-        return included(self, x, y)
+    def counting(self, x):
+        calls.append(x)
+        return included(self, x)
 
     monkeypatch.setattr(GridDomain, "included", counting)
-    d = GridDomain(nx=6, ny=4, y_min=-2.0, exclusion_radius=0.1, singular_loci=(VerticalLine(0.2),))
+    d = GridDomain(nx=6, ny=4, y_min=-2.0, exclusion_radius=0.1, singular_loci=(0.2,))
     assert len(d.columns()) == 5
-    assert calls == [(x, -2.0) for x in d.xs()]
+    assert calls == d.xs()
+
+
+# The loci of the domain, mesh and family tests above and elsewhere, with
+# the columns each drops, pinned from the scans and meshes they gave.
+@pytest.mark.parametrize(
+    "nx, radius, loci, dropped",
+    [
+        (5, 0.3, (0.0,), [2]),
+        (3, 0.0, (0.0,), [1]),
+        (3, 0.0, (1e-300,), []),
+        (6, 0.1, (0.2,), [3]),
+        (5, 0.1, (0.0,), [2]),
+        (7, 0.3, (1.0 / 3.0,), [4]),
+        (9, 0.2, (0.1,), [4, 5]),
+        (41, 0.06, (0.3, -0.5), [9, 10, 11, 25, 26, 27]),
+        (31, 0.05, singular_loci(Case31Candidate(1.0, 2.0, 0.5, 0.25, 0.5, 1.0)), [11]),
+    ],
+)
+def test_float_loci_drop_the_pinned_columns(nx, radius, loci, dropped):
+    d = GridDomain(nx=nx, ny=2, exclusion_radius=radius, singular_loci=loci)
+    kept = [i for i, _ in d.columns()]
+    assert [i for i in range(nx) if i not in kept] == dropped

@@ -21,7 +21,6 @@ from isocurv import (
     NumericOverflowError,
     ParabolicSphere,
     SingularPointError,
-    VerticalLine,
     build,
     case31_contradiction_scan,
     case31_residual,
@@ -208,7 +207,7 @@ def test_verify_family_rejects_candidate_kind():
 
 def test_verify_family_empty_domain():
     blocked = GridDomain(
-        nx=3, ny=3, exclusion_radius=10.0, singular_loci=(VerticalLine(0.0),)
+        nx=3, ny=3, exclusion_radius=10.0, singular_loci=(0.0,)
     )
     with pytest.raises(EmptyDomainError):
         verify_family(SPEC_A, blocked)
@@ -224,7 +223,7 @@ def test_singular_loci():
     assert singular_loci(SPEC_A) == ()
     assert singular_loci(SPEC_C) == ()
     spec = Case31Candidate(c3=1.0, c4=2.0, d7=0.0, d8=0.0, d9=4.0, m0=1.0)
-    assert singular_loci(spec) == (VerticalLine(-2.0),)
+    assert singular_loci(spec) == (-2.0,)
 
 
 # -- the contradiction scan --------------------------------------------------------

@@ -7,7 +7,6 @@ from isocurv import (
     EmptyDomainError,
     GridDomain,
     MeshStats,
-    VerticalLine,
     build_mesh,
     eval_value,
     parse,
@@ -47,7 +46,7 @@ def test_exclusion_opens_a_gap():
         nx=5,
         ny=3,
         exclusion_radius=0.1,
-        singular_loci=(VerticalLine(0.0),),
+        singular_loci=(0.0,),
     )
     vertices, triangles = build_mesh(surface, domain)
     assert len(vertices) == 12
@@ -63,7 +62,7 @@ def test_exclusion_opens_a_gap():
 
 def test_empty_mesh_raises():
     domain = GridDomain(
-        nx=3, ny=3, exclusion_radius=10.0, singular_loci=(VerticalLine(0.0),)
+        nx=3, ny=3, exclusion_radius=10.0, singular_loci=(0.0,)
     )
     with pytest.raises(EmptyDomainError):
         build_mesh(parse("x*y"), domain)
@@ -94,7 +93,7 @@ def test_obj_indices_stay_in_range(tmp_path):
         nx=7,
         ny=7,
         exclusion_radius=0.3,
-        singular_loci=(VerticalLine(1.0 / 3.0),),
+        singular_loci=(1.0 / 3.0,),
     )
     vertices, triangles = build_mesh(surface, domain)
     n = len(vertices)
@@ -113,7 +112,7 @@ def test_value_kernel_meshes_where_the_derivatives_overflow():
 
 # No integer power: z is then bit for bit what eval_value gives.
 _MIXED = parse("exp(0.3*x)*sin(y)+ln(2+x*x)/sqrt(3+y*y)")
-_GAP = GridDomain(nx=9, ny=4, exclusion_radius=0.2, singular_loci=(VerticalLine(0.1),))
+_GAP = GridDomain(nx=9, ny=4, exclusion_radius=0.2, singular_loci=(0.1,))
 
 
 def test_obj_lines_match_build_mesh(tmp_path):
@@ -148,7 +147,7 @@ def _old_write_obj(surface, domain, path):
 # a negative zero where y < 0.
 _TINY = GridDomain(x_min=-3e-05, x_max=3e-05, y_min=-1e16, y_max=1e16, nx=3, ny=4)
 # The middle of three columns excluded: no two kept columns are adjacent.
-_SPLIT = GridDomain(nx=3, ny=3, exclusion_radius=0.1, singular_loci=(VerticalLine(0.0),))
+_SPLIT = GridDomain(nx=3, ny=3, exclusion_radius=0.1, singular_loci=(0.0,))
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from isocurv import (
     NormalizedLW,
     NumericOverflowError,
     ParabolicSphere,
-    VerticalLine,
     build,
     curvatures,
     euler_residual,
@@ -167,6 +166,15 @@ def test_summarize_refuses_a_non_finite_value(values):
     assert str(exc_info.value).endswith(f"at (x, y) = {points[first]!r}")
 
 
+@pytest.mark.parametrize("values", [[0.0, 3e200, -3e200], [0.0, 1e308, 1e308]])
+def test_summarize_overflows_std_dev_to_inf(values):
+    # The squares overflow, and in the second case the fsum of the shifted
+    # values as well; both once raised a bare OverflowError.
+    report = summarize(values, [(float(i), 0.0) for i in range(len(values))])
+    assert report.std_dev == math.inf
+    assert report.max_abs == max(map(abs, values))
+
+
 def test_summarize_empty_raises():
     with pytest.raises(EmptyDomainError):
         summarize([], [])
@@ -196,14 +204,14 @@ def test_scan_grid_constant_residual():
 
 
 def test_scan_grid_respects_exclusion():
-    domain = GridDomain(nx=3, ny=3, singular_loci=(VerticalLine(0.0),))
+    domain = GridDomain(nx=3, ny=3, singular_loci=(0.0,))
     report = scan_grid(parse("x*y"), domain, euler_residual_fn())
     assert report.n_samples == 6  # the x = 0 column is gone
 
 
 def test_scan_grid_all_excluded():
     domain = GridDomain(
-        nx=3, ny=3, exclusion_radius=10.0, singular_loci=(VerticalLine(0.0),)
+        nx=3, ny=3, exclusion_radius=10.0, singular_loci=(0.0,)
     )
     with pytest.raises(EmptyDomainError):
         scan_grid(parse("x*y"), domain, euler_residual_fn())
@@ -291,13 +299,13 @@ def _scan_from_lists(surface, domain, residual):
     values, points = [], []
     for y in domain.ys():
         for x in domain.xs():
-            if domain.included(x, y):
+            if domain.included(x):
                 values.append(residual(surface, x, y))
                 points.append((x, y))
     return summarize(values, points)
 
 
-GAPPED = GridDomain(nx=41, ny=23, exclusion_radius=0.06, singular_loci=(VerticalLine(0.3), VerticalLine(-0.5)))
+GAPPED = GridDomain(nx=41, ny=23, exclusion_radius=0.06, singular_loci=(0.3, -0.5))
 
 
 @pytest.mark.parametrize(
@@ -336,7 +344,7 @@ def test_scan_grid_names_the_failing_node_past_a_gap():
     def blow_up(s, x, y):
         return math.inf if (x, y) == (0.5, 0.0) else x * y
 
-    domain = GridDomain(nx=5, ny=5, exclusion_radius=0.1, singular_loci=(VerticalLine(0.0),))
+    domain = GridDomain(nx=5, ny=5, exclusion_radius=0.1, singular_loci=(0.0,))
     with pytest.raises(NumericOverflowError, match=r"^non-finite residual inf at \(x, y\) = \(0\.5, 0\.0\)$"):
         scan_grid(parse("x"), domain, blow_up)
     with pytest.raises(EvaluationDomainError, match=r"at \(x, y\) = \(1\.0, -1\.0\) in the euler residual$"):
