@@ -15,14 +15,12 @@ first used (a PEP 562 module __getattr__), so ``import isocurv`` loads no
 submodule and a program pays only for the parts it uses.
 """
 
-import importlib as _importlib
-
 __version__ = "0.1.0"
 
 # Submodule -> the public names it holds.
 _EXPORTS = {
-    "curvature": ("CurvaturePair", "curvatures"),
-    "domain": ("DEFAULT_EXCLUSION_RADIUS", "GridDomain"),
+    "curvature": ("CurvaturePair", "curvatures", "euler_residual"),
+    "domain": ("GridDomain",),
     "errors": (
         "DegenerateODEError", "DegenerateWeingartenError", "DivisionByZeroError",
         "EmptyDomainError", "EvaluationDomainError", "InvalidSpecError",
@@ -50,16 +48,16 @@ _EXPORTS = {
     ),
     "oracle": ("JetComparison", "compare", "eval_value", "fd_jet"),
     "weingarten": (
-        "LWParams", "NormalizedLW", "ResidualReport", "euler_residual",
-        "euler_residual_fn", "jacobian_residual_fn", "lw_residual", "lw_residual_fn",
-        "normalize", "scan_grid", "summarize", "weingarten_jacobian",
+        "LWParams", "NormalizedLW", "ResidualReport", "euler_residual_fn",
+        "jacobian_residual_fn", "lw_residual", "lw_residual_fn", "normalize",
+        "scan_grid", "summarize", "weingarten_jacobian",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 # The names the README documents, and the base class of the package's errors.
 __all__ = [
-    "CurvaturePair", "curvatures",
+    "CurvaturePair", "curvatures", "euler_residual",
     "GridDomain",
     "DegenerateODEError", "IsocurvError", "NoConstantPredictionError", "ParseError",
     "StepTooLargeError",
@@ -73,7 +71,7 @@ __all__ = [
     "linear_force_solution", "shifted_reciprocal_residual",
     "shifted_reciprocal_solution",
     "compare", "eval_value", "fd_jet",
-    "LWParams", "euler_residual", "lw_residual", "normalize", "weingarten_jacobian",
+    "LWParams", "lw_residual", "normalize", "weingarten_jacobian",
 ]
 
 
@@ -82,7 +80,9 @@ def __getattr__(name: str):
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    submodule = _importlib.import_module(f"{__name__}.{module}")
+    # The import statement's machinery, which python -X importtime reports and
+    # importlib.import_module bypasses; it also spares loading importlib.
+    submodule = __import__(f"{__name__}.{module}", fromlist=[name])
     value = globals()[name] = getattr(submodule, name)
     return value
 

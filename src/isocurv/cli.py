@@ -14,21 +14,21 @@ table's help. A usage error takes the path of every other error: one
 
 Each subcommand imports what it calls when it runs, so a process pays
 start-up only for the modules it uses: eval and scan never load the
-families, ODE, mesh or oracle modules, and ode loads neither the parser
-nor the jets.
+families, ODE, mesh or oracle modules, eval and ode load neither the grid
+nor the scan module, and ode loads neither the parser nor the jets. The
+process ends as soon as its report is flushed (entrypoint).
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from types import SimpleNamespace
 
 from . import __getattr__ as _package_name
-from .domain import DEFAULT_EXCLUSION_RADIUS, GridDomain
 from .errors import IsocurvError, asdict
 
 
@@ -46,6 +46,9 @@ def __getattr__(name: str):
 SCHEMA_VERSION = 2
 
 DEFAULT_SCAN_TOL = {"lw": 1e-9, "euler": 1e-9, "jacobian": 1e-6}
+# The default --exclusion of verify-family and mesh, which avoid a spec's
+# singular loci; scan declares no loci, and its default is 0.
+DEFAULT_EXCLUSION = 1e-2
 
 
 class _UsageError(IsocurvError):
@@ -99,6 +102,8 @@ def _domain_flags(exclusion: float) -> dict:
 def _domain(args, params: dict, loci: tuple[float, ...] = ()) -> GridDomain:
     """The grid that the domain flags give, avoiding loci; the flags also
     go into params."""
+    from .domain import GridDomain
+
     domain = GridDomain(*args.domain, *args.grid, args.exclusion, loci)
     params.update(domain=list(args.domain), grid=list(args.grid), exclusion_radius=args.exclusion)
     return domain
@@ -305,7 +310,7 @@ _COMMANDS = {
         "--spec": (str, _REQUIRED, "path to a family spec JSON file"),
         "--tol": (_tolerance, 1e-9, "pass threshold on max |residual|"),
         "--n0": (_finite, 0.0, "relation constant for the contradiction scan"),
-        **_domain_flags(DEFAULT_EXCLUSION_RADIUS),
+        **_domain_flags(DEFAULT_EXCLUSION),
     }),
     "ode": (cmd_ode, "integrate a factor equation", {
         "--ode": (("shifted-reciprocal", "saturated-linear"), _REQUIRED, "the equation"),
@@ -329,7 +334,7 @@ _COMMANDS = {
         "--surface": (str, None, "expression in x and y; this or --spec"),
         "--spec": (str, None, "family spec JSON instead of an expression"),
         "--out": (str, _REQUIRED, "write the OBJ here"),
-        **_domain_flags(DEFAULT_EXCLUSION_RADIUS),
+        **_domain_flags(DEFAULT_EXCLUSION),
     }),
 }
 
@@ -407,39 +412,55 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if isinstance(args, str):  # -h or --help
-            sys.stdout.write(args)
-            return 0
-        surface, params, result, passed, tolerances = _DISPATCH[args.command](args)
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "surface": surface,
-            "params": params,
-            "result": result,
-            "pass": passed,
-            "tolerances": tolerances,
-        }
-        try:
-            text = json.dumps(report, indent=2, allow_nan=False)
-        except ValueError as err:  # RFC 8259 has no NaN or Infinity
-            raise ValueError(_non_finite(report, "") or err) from None
+            text, code = args, 0
+        else:
+            surface, params, result, passed, tolerances = _DISPATCH[args.command](args)
+            report = {
+                "schema_version": SCHEMA_VERSION,
+                "command": args.command,
+                "surface": surface,
+                "params": params,
+                "result": result,
+                "pass": passed,
+                "tolerances": tolerances,
+            }
+            try:
+                text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+            except ValueError as err:  # RFC 8259 has no NaN or Infinity
+                raise ValueError(_non_finite(report, "") or err) from None
+            code = 1 if passed is False else 0
+        if sys.stdout is None:  # the process started with standard output closed
+            raise OSError("standard output is closed")
+        sys.stdout.write(text)
     except json.JSONDecodeError as err:
         print(f"error: invalid JSON in family spec: {err}", file=sys.stderr)
         return 2
     except (IsocurvError, ValueError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    sys.stdout.write(text + "\n")
-    return 1 if passed is False else 0
+    return code
 
 
 def entrypoint() -> None:
+    """Run main on the process's arguments, then end the process with its
+    code as soon as the report is out.
+
+    os._exit skips the interpreter's teardown, which would walk every object
+    still alive, and with it every atexit callback, a profiler's or
+    coverage's included: to measure main, call it in-process. A report that
+    the flush cannot deliver (a pipe whose reader has gone, a full disk)
+    exits 2, like every other error.
+    """
     code = main()
-    # Frozen objects are left out of the collections the interpreter runs at
-    # exit, which would walk everything still alive just before the process
-    # gives its memory back. Not in main: callers run main in-process.
-    gc.freeze()
-    sys.exit(code)
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        code = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

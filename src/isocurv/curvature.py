@@ -25,3 +25,8 @@ def curvatures(j: Jet2) -> CurvaturePair:
         H=0.5 * (j.dxx + j.dyy),
     )
 
+
+def euler_residual(j: Jet2) -> float:
+    """The Euler defect (z_xx - z_yy)^2 + 4 z_xy^2, which is 4 (H^2 - K)."""
+    d = j.dxx - j.dyy
+    return d * d + 4.0 * (j.dxy * j.dxy)

@@ -6,7 +6,6 @@ import math
 
 from .errors import EmptyDomainError, record, require_finite
 
-DEFAULT_EXCLUSION_RADIUS = 1e-2
 # Bounds the work and memory of one grid: scans and meshes visit every node.
 _MAX_NODES = 10_000_000
 

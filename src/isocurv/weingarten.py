@@ -27,7 +27,6 @@ from .domain import GridDomain
 from .errors import (DegenerateWeingartenError, EmptyDomainError, IsocurvError,
                      NumericOverflowError, asdict, record, require_finite)
 from .expr import Expr, compile_jet, eval_jet
-from .jet import Jet2
 
 
 @record
@@ -63,11 +62,6 @@ def normalize(params: LWParams) -> NormalizedLW:
 # CurvaturePair is named here, not imported: a scan does not load curvature.
 def lw_residual(pair: CurvaturePair, params: LWParams) -> float:
     return params.a * pair.H + params.b * pair.K - params.c
-
-
-def euler_residual(j: Jet2) -> float:
-    d = j.dxx - j.dyy
-    return d * d + 4.0 * (j.dxy * j.dxy)
 
 
 def weingarten_jacobian(surface: Expr, p: tuple[float, float]) -> float:

@@ -1,16 +1,20 @@
 """End-to-end command-line tests: exit codes, report schema, artifacts."""
 
 import csv
+import errno
 import gc
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import isocurv
 from isocurv.cli import main
 
 
@@ -950,21 +954,65 @@ def test_console_script_runs():
 
 
 def test_main_leaves_the_garbage_collector_unfrozen(capsys):
-    # Only the process entry point freezes the heap before exit; callers
-    # that run main in-process keep their collections.
+    # main run in-process returns, and leaves the caller's collections alone.
     assert run_cli(capsys, "eval", "--surface", "x*y", "--at", "1,2")[0] == 0
     assert gc.get_freeze_count() == 0
 
 
-def test_the_entry_point_freezes_the_heap_before_exit():
-    code = ("import atexit, gc, sys\n"
-            "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
-            "sys.argv = ['isocurv', 'eval', '--surface', 'x*y', '--at', '1,2']\n"
-            "from isocurv.cli import entrypoint\n"
-            "entrypoint()\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, "True\n")
-    assert json.loads(proc.stdout)["result"]["K"] == -1.0
+def child_env(unbuffered: bool) -> dict:
+    """The environment of a python -m isocurv child: src on the path, and
+    PYTHONUNBUFFERED set or removed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(isocurv.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("eval --surface x*y --at 1,2", 0),
+        ("scan --surface x*y --residual euler --grid 3,3", 1),
+        ("eval --surface 1/x --at 0,1", 2),
+    ],
+    ids=["pass", "failed gate", "refused"],
+)
+def test_the_entry_point_exits_with_mains_code_once_the_report_is_written(
+    capsys, tmp_path, argv, code
+):
+    # The entry point ends the process without the interpreter's teardown,
+    # so a report that is still buffered when main returns is flushed first.
+    assert main(argv.split()) == code
+    expected = capsys.readouterr()
+    out = tmp_path / "report.json"
+    with open(out, "wb") as fh:
+        proc = subprocess.run([sys.executable, "-m", "isocurv", *argv.split()], stdout=fh,
+                              stderr=subprocess.PIPE, env=child_env(False), timeout=60)
+    assert (proc.returncode, out.read_text(), proc.stderr.decode()) == (
+        code, expected.out, expected.err)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_report_to_a_pipe_without_a_reader_exits_2(unbuffered):
+    # Unbuffered, main's write fails; buffered, the entry point's flush does.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "isocurv", "eval", "--surface", "x*y",
+                               "--at", "1,2"], stdout=write, stderr=subprocess.PIPE,
+                              env=child_env(unbuffered), timeout=60)
+    finally:
+        os.close(write)
+    broken = f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+    assert (proc.returncode, proc.stderr.decode()) == (2, broken)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_report_to_a_closed_stdout_exits_2(unbuffered):
+    argv = [sys.executable, "-m", "isocurv", "eval", "--surface", "x*y", "--at", "1,2"]
+    proc = subprocess.run(["sh", "-c", '"$0" "$@" >&-', *argv], stderr=subprocess.PIPE,
+                          env=child_env(unbuffered), timeout=60)
+    assert (proc.returncode, proc.stderr.decode()) == (2, "error: standard output is closed\n")
 
 
 def test_module_entry_point_runs():

@@ -1,7 +1,6 @@
 import pytest
 
 from isocurv import (
-    DEFAULT_EXCLUSION_RADIUS,
     IVP,
     Case31Candidate,
     EmptyDomainError,
@@ -11,6 +10,7 @@ from isocurv import (
     ShiftedReciprocalODE,
     singular_loci,
 )
+from isocurv.cli import main
 
 
 def test_defaults():
@@ -19,7 +19,12 @@ def test_defaults():
     assert (d.nx, d.ny) == (101, 101)
     assert d.exclusion_radius == 0.0
     assert d.singular_loci == ()
-    assert DEFAULT_EXCLUSION_RADIUS == 1e-2
+
+
+@pytest.mark.parametrize("command", ["verify-family", "mesh"])
+def test_the_spec_commands_exclude_a_hundredth_by_default(capsys, command):
+    assert main([command, "-h"]) == 0
+    assert "singular loci (default 0.01)\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -19,11 +19,11 @@ from isocurv.errors import (
     IsocurvError,
     NumericOverflowError,
 )
-from isocurv.curvature import curvatures
+from isocurv.curvature import curvatures, euler_residual
 from isocurv.expr import Add, Div, Expr, Mul, Pow, _emit, compile_jet, eval_jet, lift_1d, num, parse
 from isocurv.jet import Jet2, Tape
 from isocurv.oracle import eval_value
-from isocurv.weingarten import LWParams, euler_residual, euler_residual_fn, lw_residual, lw_residual_fn
+from isocurv.weingarten import LWParams, euler_residual_fn, lw_residual, lw_residual_fn
 
 COMPONENTS = ("v", "dx", "dy", "dxx", "dxy", "dyy")
 THIRD = ("dxxx", "dxxy", "dxyy", "dyyy")

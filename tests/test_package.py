@@ -18,8 +18,8 @@ import isocurv
 
 # Every name the package root exports, by submodule.
 ROOT_NAMES = {
-    "curvature": "CurvaturePair curvatures",
-    "domain": "DEFAULT_EXCLUSION_RADIUS GridDomain",
+    "curvature": "CurvaturePair curvatures euler_residual",
+    "domain": "GridDomain",
     "errors": "DegenerateODEError DegenerateWeingartenError DivisionByZeroError "
     "EmptyDomainError EvaluationDomainError InvalidSpecError IsocurvError "
     "MixedVariableError NoConstantPredictionError NumericOverflowError ParseError "
@@ -35,9 +35,9 @@ ROOT_NAMES = {
     "ode": "IVP SaturatedLinearODE ShiftedReciprocalODE integrate "
     "linear_force_solution shifted_reciprocal_residual shifted_reciprocal_solution",
     "oracle": "JetComparison compare eval_value fd_jet",
-    "weingarten": "LWParams NormalizedLW ResidualReport euler_residual "
-    "euler_residual_fn jacobian_residual_fn lw_residual lw_residual_fn normalize "
-    "scan_grid summarize weingarten_jacobian",
+    "weingarten": "LWParams NormalizedLW ResidualReport euler_residual_fn "
+    "jacobian_residual_fn lw_residual lw_residual_fn normalize scan_grid summarize "
+    "weingarten_jacobian",
 }
 ALL_NAMES = [n for names in ROOT_NAMES.values() for n in names.split()]
 HEAVY = {"isocurv.families", "isocurv.ode", "isocurv.mesh", "isocurv.oracle"}
@@ -58,20 +58,20 @@ def loaded_modules(code: str, *flags: str, env: dict | None = None) -> set[str]:
     return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
-def run_module(argv: list[str]) -> str:
-    """Code that runs python -m isocurv argv and checks it exits 0."""
+def run_main(argv: list[str]) -> str:
+    """Code that runs isocurv.cli.main on argv, as python -m isocurv does,
+    and checks it returns 0. Not through the entry point, which would end
+    the process before sys.modules is printed."""
     return (
-        f"import contextlib, io, runpy\nsys.argv = {['isocurv', *argv]!r}\n"
+        "import contextlib, io, isocurv.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    try:\n"
-        "        runpy.run_module('isocurv', run_name='__main__', alter_sys=True)\n"
-        "    except SystemExit as exc:\n"
-        "        assert exc.code == 0, exc.code"
+        f"    code = isocurv.cli.main({argv!r})\n"
+        "assert code == 0, code"
     )
 
 
 def test_every_root_name_is_its_submodules_object():
-    assert len(ALL_NAMES) == len(set(ALL_NAMES)) == 83
+    assert len(ALL_NAMES) == len(set(ALL_NAMES)) == 82
     for module, names in ROOT_NAMES.items():
         owner = importlib.import_module(f"isocurv.{module}")
         for name in names.split():
@@ -125,7 +125,7 @@ def test_cli_import_loads_no_subcommand_module():
     ],
 )
 def test_eval_and_scan_load_no_subcommand_module(argv):
-    assert not loaded_modules(run_module(argv.split())) & HEAVY
+    assert not loaded_modules(run_main(argv.split())) & HEAVY
 
 
 @pytest.mark.parametrize("residual", ["lw --a 1 --b 1 --c 2", "euler", "jacobian"])
@@ -133,25 +133,35 @@ def test_a_scan_loads_no_curvature_module(residual):
     """The lw and euler residuals are emitted into the kernel, so no node
     builds a CurvaturePair."""
     argv = f"scan --surface 0.5*(x^2+y^2) --grid 2,2 --residual {residual}".split()
-    loaded = loaded_modules(run_module(argv))
+    loaded = loaded_modules(run_main(argv))
     assert "isocurv.weingarten" in loaded
     assert "isocurv.curvature" not in loaded
 
 
-def test_ode_loads_only_the_integrator():
-    argv = "ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1 --step 0.1"
-    assert loaded_modules(run_module(argv.split())) == {
-        "isocurv",
-        "isocurv.cli",
-        "isocurv.domain",
-        "isocurv.errors",
-        "isocurv.ode",
+def test_each_subcommand_loads_exactly_the_modules_it_runs(tmp_path):
+    """eval reads its Euler defect from curvature, and the grid module loads
+    only under a grid: neither eval nor ode loads domain or weingarten. The
+    child runs with -S, so that no module that site imports hides one."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind": "CaseC", "c8": 1, "d15": 0, "c9": 1, "d16": 0}')
+    kernel = {"errors", "expr", "jet"}
+    runs = {
+        "eval --surface x*y --at 1,2": kernel | {"curvature"},
+        "scan --surface x^2+y^2 --residual euler --grid 2,2": kernel | {"domain", "weingarten"},
+        f"verify-family --spec {spec} --grid 3,3":
+            kernel | {"curvature", "domain", "families", "weingarten"},
+        "ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1 --step 0.1": {"errors", "ode"},
+        f"mesh --surface x*y --grid 2,2 --out {tmp_path / 'm.obj'}": kernel | {"domain", "mesh"},
     }
+    env = {**os.environ, "PYTHONPATH": str(Path(isocurv.__file__).parents[1])}
+    for argv, modules in runs.items():
+        loaded = loaded_modules(run_main(argv.split()), "-S", env=env)
+        assert loaded == {"isocurv", "isocurv.cli", *(f"isocurv.{m}" for m in modules)}, argv
 
 
 def test_mesh_from_a_surface_loads_no_families(tmp_path):
     argv = ["mesh", "--surface", "x*y", "--grid", "2,2", "--out", str(tmp_path / "m.obj")]
-    loaded = loaded_modules(run_module(argv))
+    loaded = loaded_modules(run_main(argv))
     assert "isocurv.mesh" in loaded
     assert "isocurv.families" not in loaded
 
@@ -176,6 +186,6 @@ def test_no_module_or_subcommand_loads_dataclasses(tmp_path):
     code += "".join(f"import isocurv.{m}\n" for m in ROOT_NAMES) + "import isocurv.cli\n"
     code += check.format("import")
     for argv in runs:
-        code += run_module(argv.split()) + check.format(argv)
+        code += run_main(argv.split()) + check.format(argv)
     src = str(Path(isocurv.__file__).parents[1])
     assert "isocurv.mesh" in loaded_modules(code, "-S", env={**os.environ, "PYTHONPATH": src})
