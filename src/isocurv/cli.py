@@ -408,6 +408,18 @@ def _non_finite(value, path: str) -> str | None:
     return next(filter(None, (_non_finite(v, p) for p, v in items)), None)
 
 
+def _error(message: str) -> int:
+    """Write the "error:" line on stderr and return exit code 2. A stderr
+    that cannot take the line (closed, or a pipe whose reader has gone)
+    changes neither the code nor standard output."""
+    if sys.stderr is not None:  # print would fall back on standard output
+        try:
+            print(f"error: {message}", file=sys.stderr)
+        except OSError:
+            pass
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
@@ -433,11 +445,9 @@ def main(argv: list[str] | None = None) -> int:
             raise OSError("standard output is closed")
         sys.stdout.write(text)
     except json.JSONDecodeError as err:
-        print(f"error: invalid JSON in family spec: {err}", file=sys.stderr)
-        return 2
+        return _error(f"invalid JSON in family spec: {err}")
     except (IsocurvError, ValueError, ArithmeticError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _error(str(err))
     return code
 
 
@@ -456,10 +466,12 @@ def entrypoint() -> None:
         if sys.stdout is not None:
             sys.stdout.flush()
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        code = 2
-    if sys.stderr is not None:
-        sys.stderr.flush()
+        code = _error(str(err))
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:  # as in _error, a lost line leaves the code as it is
+        pass
     os._exit(code)
 
 

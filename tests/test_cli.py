@@ -1015,6 +1015,23 @@ def test_a_report_to_a_closed_stdout_exits_2(unbuffered):
     assert (proc.returncode, proc.stderr.decode()) == (2, "error: standard output is closed\n")
 
 
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "pipe without a reader"])
+def test_an_error_line_that_cannot_be_written_still_exits_2(closed):
+    argv = [sys.executable, "-m", "isocurv", "eval", "--surface", "1/x", "--at", "0,1"]
+    if closed:
+        proc = subprocess.run(["sh", "-c", '"$0" "$@" 2>&-', *argv], stdout=subprocess.PIPE,
+                              env=child_env(False), timeout=60)
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=write,
+                                  env=child_env(False), timeout=60)
+        finally:
+            os.close(write)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "isocurv", "eval", "--surface", "x*y", "--at", "1,2"],

@@ -14,31 +14,43 @@ from isocurv import (
 )
 
 
-def test_full_grid_mesh_counts():
+def _obj_faces(surface, domain, path):
+    """The (a, b, c) of each `f` line that write_obj writes."""
+    write_obj(surface, domain, str(path))
+    lines = path.read_text(encoding="ascii").splitlines()
+    return [tuple(map(int, ln.split()[1:])) for ln in lines if ln.startswith("f ")]
+
+
+def test_full_grid_mesh_counts(tmp_path):
     surface = parse("x*y")
-    vertices, triangles = build_mesh(surface, GridDomain(nx=3, ny=3))
+    domain = GridDomain(nx=3, ny=3)
+    vertices, cells = build_mesh(surface, domain)
     assert len(vertices) == 9
-    assert len(triangles) == 8
-    vertices, triangles = build_mesh(surface, GridDomain(nx=2, ny=2))
+    assert cells == [0, 1]
+    assert len(_obj_faces(surface, domain, tmp_path / "3x3.obj")) == 8
+    domain = GridDomain(nx=2, ny=2)
+    vertices, cells = build_mesh(surface, domain)
     assert len(vertices) == 4
-    assert len(triangles) == 2
+    assert cells == [0]
+    assert len(_obj_faces(surface, domain, tmp_path / "2x2.obj")) == 2
 
 
-def test_vertices_are_row_major_with_exact_heights():
+def test_vertices_are_row_major_with_exact_heights(tmp_path):
     surface = parse("x+2*y")
     domain = GridDomain(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, nx=2, ny=2)
-    vertices, triangles = build_mesh(surface, domain)
+    vertices, cells = build_mesh(surface, domain)
     assert vertices == [
         (0.0, 0.0, 0.0),
         (1.0, 0.0, 1.0),
         (0.0, 1.0, 2.0),
         (1.0, 1.0, 3.0),
     ]
+    assert cells == [0]
     # 1-based, counter-consistent winding: (a,b,c) then (b,d,c)
-    assert triangles == [(1, 2, 3), (2, 4, 3)]
+    assert _obj_faces(surface, domain, tmp_path / "patch.obj") == [(1, 2, 3), (2, 4, 3)]
 
 
-def test_exclusion_opens_a_gap():
+def test_exclusion_opens_a_gap(tmp_path):
     # 5x3 grid with the x = 0 column excluded: 12 vertices survive and no
     # face touches the gap, leaving the two sides disconnected.
     surface = parse("x*y")
@@ -48,8 +60,11 @@ def test_exclusion_opens_a_gap():
         exclusion_radius=0.1,
         singular_loci=(0.0,),
     )
-    vertices, triangles = build_mesh(surface, domain)
+    vertices, cells = build_mesh(surface, domain)
     assert len(vertices) == 12
+    # Kept columns x = -1, -0.5, 0.5, 1: only positions 0 and 2 are cells.
+    assert cells == [0, 2]
+    triangles = _obj_faces(surface, domain, tmp_path / "gap.obj")
     assert len(triangles) == 8
     for tri in triangles:
         txs = [vertices[vid - 1][0] for vid in tri]
@@ -95,19 +110,22 @@ def test_obj_indices_stay_in_range(tmp_path):
         exclusion_radius=0.3,
         singular_loci=(1.0 / 3.0,),
     )
-    vertices, triangles = build_mesh(surface, domain)
-    n = len(vertices)
+    n = len(build_mesh(surface, domain)[0])
+    triangles = _obj_faces(surface, domain, tmp_path / "ring.obj")
+    assert triangles
     for tri in triangles:
         assert all(1 <= vid <= n for vid in tri)
         assert len(set(tri)) == 3
 
 
-def test_value_kernel_meshes_where_the_derivatives_overflow():
+def test_value_kernel_meshes_where_the_derivatives_overflow(tmp_path):
     # At x = 5e-324 sqrt's value is finite but its second derivative is not.
     domain = GridDomain(x_min=5e-324, x_max=1.0, y_min=0.0, y_max=1.0, nx=3, ny=2)
-    vertices, triangles = build_mesh(parse("sqrt(x)"), domain)
-    assert len(vertices) == 6 and len(triangles) == 4
+    vertices, cells = build_mesh(parse("sqrt(x)"), domain)
+    assert len(vertices) == 6 and cells == [0, 1]
     assert vertices[0] == (5e-324, 0.0, math.sqrt(5e-324))
+    stats = write_obj(parse("sqrt(x)"), domain, str(tmp_path / "sqrt.obj"))
+    assert stats == MeshStats(n_vertices=6, n_triangles=4)
 
 
 # No integer power: z is then bit for bit what eval_value gives.
@@ -116,7 +134,16 @@ _GAP = GridDomain(nx=9, ny=4, exclusion_radius=0.2, singular_loci=(0.1,))
 
 
 def test_obj_lines_match_build_mesh(tmp_path):
-    vertices, triangles = build_mesh(_MIXED, _GAP)
+    vertices, cells = build_mesh(_MIXED, _GAP)
+    # Each row pair, its lower row starting at vertex r, has every kept
+    # cell's two faces.
+    m = len(vertices) // _GAP.ny
+    triangles = [
+        face
+        for r in range(0, len(vertices) - m, m)
+        for k in cells
+        for face in ((r + k + 1, r + k + 2, r + m + k + 1), (r + k + 2, r + m + k + 2, r + m + k + 1))
+    ]
     path = tmp_path / "gap.obj"
     stats = write_obj(_MIXED, _GAP, str(path))
     assert stats == MeshStats(n_vertices=len(vertices), n_triangles=len(triangles))
@@ -134,9 +161,20 @@ def test_heights_without_integer_powers_equal_eval_value():
 
 
 def _old_write_obj(surface, domain, path):
-    """The per-vertex writer that write_obj replaced, kept verbatim: the
-    bytes it wrote are the OBJ contract."""
-    vertices, triangles = build_mesh(surface, domain)
+    """The per-vertex writer that write_obj replaced, kept verbatim with
+    the triangle enumeration that build_mesh once returned: the bytes it
+    wrote are the OBJ contract."""
+    vertices, _ = build_mesh(surface, domain)
+    columns = domain.columns()
+    m = len(columns)
+    ids = list(range(1, len(vertices) + 1))
+    cells = [k for k in range(m - 1) if columns[k + 1][0] == columns[k][0] + 1]
+    triangles = []
+    for row in range(0, len(vertices) - m, m):
+        for k in cells:
+            a, b, c, d = ids[row + k], ids[row + k + 1], ids[row + m + k], ids[row + m + k + 1]
+            triangles.append((a, b, c))
+            triangles.append((b, d, c))
     with open(path, "w", encoding="ascii") as fh:
         fh.writelines(f"v {x!r} {y!r} {z!r}\n" for x, y, z in vertices)
         fh.writelines(f"f {a} {b} {c}\n" for a, b, c in triangles)
@@ -174,6 +212,19 @@ def test_tiny_case_writes_negative_zeros_and_exponents(tmp_path):
     write_obj(parse("1e-20*x*y"), _TINY, str(path))
     text = path.read_text(encoding="ascii")
     assert " -0.0\n" in text and "e-05 " in text and "e+16 " in text and "e-09\n" in text
+
+
+def test_mesh_memory_holds_no_faces():
+    # The faces follow from the kept cells, so a mesh holds its vertices
+    # and little else: 201^2 of them peak near 3.8 MB, and a list of their
+    # 80,000 triangles would take the peak past 10 MB.
+    tracemalloc.start()
+    try:
+        build_mesh(_MIXED, GridDomain(nx=201, ny=201))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
 
 
 def test_writer_memory_is_bounded_by_a_row(tmp_path):
