@@ -318,11 +318,11 @@ _COMMANDS = {
         "--m0": (float, None, "shifted-reciprocal parameter"),
         "--c5": (float, None, "saturated-linear parameter"),
         "--d10": (float, 0.0, "saturation constant"),
-        "--t0": (float, 0.0, "start of the span"),
-        "--f0": (float, _REQUIRED, "f(t0)"),
-        "--fp0": (float, _REQUIRED, "f'(t0)"),
-        "--t-end": (float, _REQUIRED, "end of the span"),
-        "--step": (float, _REQUIRED, "RK4 step"),
+        "--t0": (_finite, 0.0, "start of the span"),
+        "--f0": (_finite, _REQUIRED, "f(t0)"),
+        "--fp0": (_finite, _REQUIRED, "f'(t0)"),
+        "--t-end": (_finite, _REQUIRED, "end of the span"),
+        "--step": (_finite, _REQUIRED, "RK4 step"),
         "--tol": (_tolerance, 1e-6, "pass threshold on the max deviation from the oracle"),
         "--oracle-c4": (
             _finite, None, "with --oracle-d9: check shifted-reciprocal against its closed form"

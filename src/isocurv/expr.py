@@ -14,10 +14,12 @@ FUNC is one of exp, ln, sin, cos, sqrt. Exponents must reduce to a numeric
 constant at parse time (they are folded right-associatively), so a Pow node
 always stores a plain float; x^2^3 means x^8 and x^y is rejected.
 
-to_string emits minimal parentheses while preserving structure exactly:
-parse(to_string(e)) reproduces e node for node whenever e is in parse
-normal form, i.e. every negative constant is spelled Neg(Const(+c)). The
-num() helper builds constants in that form.
+Var holds x or y, Pow a finite exponent and Const any float but NaN (1e999
+parses to inf); each refuses anything else with a ValueError naming the
+field. to_string emits minimal parentheses while preserving structure
+exactly: parse(to_string(e)) reproduces e node for node for every tree in
+parse normal form, i.e. every negative constant is spelled Neg(Const(+c)).
+The num() helper builds constants in that form.
 
 eval_jet runs the kernel that compile_jet builds once per tree from the
 jet rules. lift_1d runs the same kernel on single-variable factors and
@@ -33,7 +35,7 @@ import math
 import re
 
 from . import jet as jetmath
-from .errors import MixedVariableError, ParseError, UnknownIdentifierError, record
+from .errors import MixedVariableError, ParseError, UnknownIdentifierError, record, require_finite
 from .jet import Jet1, Jet2
 
 
@@ -41,10 +43,18 @@ from .jet import Jet1, Jet2
 class Const:
     value: float
 
+    def __post_init__(self):
+        if self.value != self.value:  # +-inf stays: parse reads 1e999 as inf
+            raise ValueError("value must not be NaN")
+
 
 @record
 class Var:
     name: str
+
+    def __post_init__(self):
+        if self.name not in ("x", "y"):
+            raise ValueError("name must be 'x' or 'y'")
 
 
 @record
@@ -80,6 +90,9 @@ class Div:
 class Pow:
     base: "Expr"
     exponent: float
+
+    def __post_init__(self):
+        require_finite(self, "exponent")
 
 
 @record
@@ -353,7 +366,7 @@ def to_string(e: Expr) -> str:
 def _emit(t: jetmath.Tape, e: Expr, x: jetmath.Src, y: jetmath.Src) -> jetmath.Src:
     match e:
         case Const(value=v):
-            # repr round-trips a finite float exactly; float() takes inf and nan.
+            # repr round-trips a finite float exactly; float() takes inf.
             # A local, not a literal, so that only the seeds' zeros and ones fold.
             return t.seed(t.let(repr(v) if math.isfinite(v) else f"float('{v}')"))
         case Var(name=name):
@@ -362,11 +375,6 @@ def _emit(t: jetmath.Tape, e: Expr, x: jetmath.Src, y: jetmath.Src) -> jetmath.S
             return _JET_RULES[type(e)](t, _emit(t, l, x, y), _emit(t, r, x, y))
         case Pow(base=b, exponent=ex):
             bj = _emit(t, b, x, y)
-            if not math.isfinite(ex):
-                # int() refuses it: raise that error in the kernel, after
-                # the base is evaluated, where a tree walk would.
-                t.lines.append(f"int(float('{ex}'))")
-                return bj
             if ex == int(ex):
                 return jetmath.pow_int(t, bj, int(ex))
             return jetmath.pow_real(t, bj, ex)

@@ -2,9 +2,10 @@
 
 Derivatives come from five-point central stencils applied to plain float
 evaluation only: eval_value runs each tree through closures built once
-per tree, one per node, each doing its node's float operation. Nothing
-here touches jet propagation, so this path stands as a genuinely separate
-oracle for it: agreement between fd_jet and eval_jet cross-validates both.
+per tree, one per node, each doing its node's float operation on what the
+node constructors accept (x or y, a finite exponent). Nothing here touches
+jet propagation, so this path stands as a genuinely separate oracle for
+it: agreement between fd_jet and eval_jet cross-validates both.
 """
 
 from __future__ import annotations
@@ -27,15 +28,12 @@ ValueFn = Callable[[float, float], float]
 def _plain(e: Expr) -> ValueFn:
     """One closure (x, y) -> float for the tree e. Each node does its float
     operation on its operands' values in the order of a recursive walk
-    (a quotient's denominator first, a power's base before its exponent
-    is checked) and raises that walk's errors."""
+    (a quotient's denominator first) and raises that walk's errors."""
     match e:
         case Const(value=v):
             return lambda x, y: v
-        case Var(name="x"):
-            return lambda x, y: x
-        case Var():
-            return lambda x, y: y
+        case Var(name=name):
+            return (lambda x, y: x) if name == "x" else (lambda x, y: y)
         case Neg(arg=a):
             f = _plain(a)
             return lambda x, y: -f(x, y)
@@ -103,19 +101,7 @@ def _plain(e: Expr) -> ValueFn:
 
 
 def _power(f: ValueFn, ex: float) -> ValueFn:
-    if not math.isfinite(ex):
-        # int() refuses it, after the base is evaluated, where the walk's
-        # test ex == int(ex) did: OverflowError for an infinity is a power
-        # overflow, ValueError for a NaN passes through.
-        def refuse(x, y):
-            f(x, y)
-            try:
-                return int(ex)
-            except OverflowError:
-                raise NumericOverflowError("power overflow") from None
-
-        return refuse
-    if ex == int(ex):
+    if ex == int(ex):  # Pow holds a finite exponent
         n = int(ex)
 
         def power(x, y):

@@ -180,7 +180,9 @@ class _Nodes:
 def scan_grid(surface: Expr, domain: GridDomain, residual: ResidualFn) -> ResidualReport:
     """Evaluate a residual on every included grid node, row by row in y, into
     one float each. An error at a node is re-raised naming it and the residual."""
-    from array import array  # an extension module: eval need not load it
+    # An extension module: a Case31 verify-family and a spec's mesh load
+    # this module but never scan.
+    from array import array
     xs = [x for _, x in domain.columns()]
     ys = domain.ys()
     values = array("d")

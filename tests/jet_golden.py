@@ -41,17 +41,17 @@ import random
 from conftest import SEED, random_expr
 
 from isocurv.errors import IsocurvError
-from isocurv.expr import Expr, Pow, Var, eval_jet, lift_1d, parse
+from isocurv.expr import Expr, Var, eval_jet, lift_1d, parse
 
 BLOCK = 1000
 N_TREES = 20_000
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "jet_golden.json")
 
-# Texts to parse, and two trees the parser refuses: infinite exponents.
+# Texts to parse. Every tree the evaluators can meet is one that parse can
+# give: the node constructors refuse an infinite exponent, as parse does.
 SURFACES = (
     "x", "7", "x*y", "x/y", "(x-1)/(y-1)", "1/x", "x^-2", "x^-3", "y^-1", "x^0",
-    "x^0.5", "x^1.5", "x^-0.5", "x^2.5", Pow(Var("x"), math.inf),
-    Pow(Var("x"), -math.inf), "x^(2^60)",
+    "x^0.5", "x^1.5", "x^-0.5", "x^2.5", "x^(2^60)",
     "sqrt(x)", "sqrt(y)", "sqrt(x*x+y*y)", "sqrt(x-x)", "ln(x)", "ln(x*y)",
     "ln(0*x+1)", "exp(x)", "exp(-x)", "exp(x*x)", "sin(x)", "cos(y)",
     "sin(x*x)", "cos(x*x)", "sin(1e300*x)", "1e200*x*y", "1e999*x",
@@ -96,7 +96,7 @@ def cases():
         for _ in range(2):
             yield "lift_1d", single, _coordinate(rng)
     for surface in SURFACES:
-        e = parse(surface) if isinstance(surface, str) else surface
+        e = parse(surface)
         for a in SPECIAL:
             for b in (0.0, 1.0, -2.5, a):
                 yield "eval_jet", e, (a, b)

@@ -166,6 +166,12 @@ ODE_SL = "ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1 --step 0.1 
         pytest.param(ODE_SR + " --oracle-c4 1 --oracle-d9 nan", "oracle_d9 must be finite", id="ode-oracle-d9"),
         pytest.param(ODE_SR + " --oracle-c4 1 --oracle-d9 2 --tol nan", "tol must be finite", id="ode-tol-nan"),
         pytest.param(ODE_SL + " --tol inf", "tol must be finite", id="ode-tol-inf"),
+        # The initial values and the span are named by their flags, not IVP's fields.
+        pytest.param(ODE_SL.replace("--f0 1", "--f0 nan"), "f0 must be finite", id="ode-f0"),
+        pytest.param(ODE_SL.replace("--fp0 0", "--fp0 inf"), "fp0 must be finite", id="ode-fp0"),
+        pytest.param(ODE_SL + " --t0=-inf", "t0 must be finite", id="ode-t0"),
+        pytest.param(ODE_SL.replace("--t-end 1", "--t-end inf"), "t_end must be finite", id="ode-t-end"),
+        pytest.param(ODE_SL.replace("--step 0.1", "--step nan"), "step must be finite", id="ode-step"),
         # A tolerance or relation constant is named before any scan runs.
         pytest.param("scan --surface x --residual euler --grid 3,3 --tol inf", "tol must be finite",
                      id="scan-tol-inf"),

@@ -191,6 +191,25 @@ def test_nesting_error_points_at_the_first_level_too_many():
     expect_parse_error("-" * 1000 + "x", n)
 
 
+# -- nodes ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Var("z"), "name must be 'x' or 'y'"),
+        (lambda: Pow(Var("x"), math.inf), "exponent must be finite"),
+        (lambda: Pow(Var("x"), -math.inf), "exponent must be finite"),
+        (lambda: Pow(Var("x"), math.nan), "exponent must be finite"),
+        (lambda: Const(math.nan), "value must not be NaN"),
+    ],
+    ids=["var-z", "pow-inf", "pow-minus-inf", "pow-nan", "const-nan"],
+)
+def test_nodes_hold_only_what_an_expression_can_spell(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 # -- printing ------------------------------------------------------------------
 
 
@@ -252,10 +271,10 @@ def test_a_negative_infinite_constant_prints_as_minus_1e999():
     assert to_string(Mul(Const(-math.inf), Var("x"))) == "-1e999*x"
 
 
-_const_values = st.floats(
-    min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
-)
-_exponent_values = st.sampled_from([2.0, 3.0, 0.5, -1.0, -2.5, 0.0])
+# Every float that a node accepts: a constant may be infinite (1e999), an
+# exponent may not.
+_const_values = st.floats(allow_nan=False)
+_exponent_values = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def _normal_form_trees():
