@@ -235,9 +235,7 @@ def cmd_ode(args) -> tuple:
             def oracle(t: float) -> float:
                 return linear_force_solution(c5, f0, fp0, t, t0)
 
-    ivp = IVP(
-        rhs=rhs, t0=args.t0, y0=args.f0, yp0=args.fp0, t_end=args.t_end, step=args.step
-    )
+    ivp = IVP(rhs, args.t0, args.f0, args.fp0, args.t_end, args.step)
     trajectory = integrate(ivp)
     max_dev: float | None = None
     passed: bool | None = None
@@ -250,15 +248,8 @@ def cmd_ode(args) -> tuple:
             fh.write("t,f,fp\r\n")
             fh.writelines(f"{t!r},{f!r},{fp!r}\r\n" for t, f, fp in trajectory)
     t_last, f_last, fp_last = trajectory[-1]
-    params = {
-        "ode": args.ode,
-        "t0": args.t0,
-        "f0": args.f0,
-        "fp0": args.fp0,
-        "t_end": args.t_end,
-        "step": args.step,
-        **asdict(rhs),
-    }
+    params = {"ode": args.ode, **asdict(ivp), **asdict(rhs)}
+    del params["rhs"]
     result = {
         "n_steps": len(trajectory) - 1,
         "endpoint": {"t": t_last, "f": f_last, "fp": fp_last},
@@ -318,11 +309,11 @@ _COMMANDS = {
         "--m0": (float, None, "shifted-reciprocal parameter"),
         "--c5": (float, None, "saturated-linear parameter"),
         "--d10": (float, 0.0, "saturation constant"),
-        "--t0": (_finite, 0.0, "start of the span"),
-        "--f0": (_finite, _REQUIRED, "f(t0)"),
-        "--fp0": (_finite, _REQUIRED, "f'(t0)"),
-        "--t-end": (_finite, _REQUIRED, "end of the span"),
-        "--step": (_finite, _REQUIRED, "RK4 step"),
+        "--t0": (float, 0.0, "start of the span"),
+        "--f0": (float, _REQUIRED, "f(t0)"),
+        "--fp0": (float, _REQUIRED, "f'(t0)"),
+        "--t-end": (float, _REQUIRED, "end of the span"),
+        "--step": (float, _REQUIRED, "RK4 step"),
         "--tol": (_tolerance, 1e-6, "pass threshold on the max deviation from the oracle"),
         "--oracle-c4": (
             _finite, None, "with --oracle-d9: check shifted-reciprocal against its closed form"

@@ -83,14 +83,6 @@ def require_finite(record, *names: str) -> None:
             raise ValueError(f"{name} must be finite")
 
 
-def require_nonzero(record, *names: str) -> None:
-    """Raise InvalidSpecError naming the first of record's fields that is
-    zero, as "<class> requires <name> != 0"."""
-    for name in names:
-        if getattr(record, name) == 0.0:
-            raise InvalidSpecError(f"{type(record).__name__} requires {name} != 0")
-
-
 class IsocurvError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -139,7 +131,7 @@ class NoConstantPredictionError(InvalidSpecError):
 
 
 class SingularPointError(IsocurvError):
-    """A closed form was evaluated at (or too close to) its pole."""
+    """A closed form was evaluated at its pole."""
 
 
 class EmptyDomainError(IsocurvError):

@@ -29,10 +29,20 @@ from .errors import (
     SingularPointError,
     asdict,
     record,
-    require_nonzero,
 )
 from .expr import Add, Const, Div, Expr, Mul, Neg, Pow, Sub, Var, eval_jet, num
 from .weingarten import LWParams, ResidualReport, scan_grid, summarize
+
+
+def _check(spec, *nonzero: str) -> None:
+    """Refuse the first of spec's fields that is not finite, then the first
+    of the nonzero ones that is zero, as "<kind> requires <name> != 0"."""
+    for name in spec.__match_args__:
+        if not math.isfinite(getattr(spec, name)):
+            raise InvalidSpecError(f"field {name!r} must be finite")
+    for name in nonzero:
+        if getattr(spec, name) == 0.0:
+            raise InvalidSpecError(f"{type(spec).__name__} requires {name} != 0")
 
 
 @record
@@ -47,7 +57,7 @@ class CaseA:
     d2: float
 
     def __post_init__(self):
-        require_nonzero(self, "f0", "m0")
+        _check(self, "f0", "m0")
         if self.f0 * self.m0 == 0.0:  # n0 / (f0 * m0) builds the surface
             raise InvalidSpecError("CaseA requires f0 * m0 != 0")
 
@@ -64,7 +74,7 @@ class CaseB:
     d4: float
 
     def __post_init__(self):
-        require_nonzero(self, "g0", "m0")
+        _check(self, "g0", "m0")
         if self.g0 * self.m0 == 0.0:  # n0 / (g0 * m0) builds the surface
             raise InvalidSpecError("CaseB requires g0 * m0 != 0")
 
@@ -80,7 +90,7 @@ class CaseC:
     d16: float
 
     def __post_init__(self):
-        require_nonzero(self, "c8", "c9")
+        _check(self, "c8", "c9")
 
 
 @record
@@ -94,7 +104,7 @@ class ParabolicSphere:
     d10: float
 
     def __post_init__(self):
-        require_nonzero(self, "c3")
+        _check(self, "c3")
 
 
 @record
@@ -104,6 +114,9 @@ class NonIsotropicPlane:
     p: float
     q: float
     r: float
+
+    def __post_init__(self):
+        _check(self)
 
 
 @record
@@ -120,7 +133,7 @@ class Case31Candidate:
     m0: float
 
     def __post_init__(self):
-        require_nonzero(self, "c3", "c4", "m0")
+        _check(self, "c3", "c4", "m0")
 
 
 FamilySpec = CaseA | CaseB | CaseC | ParabolicSphere | NonIsotropicPlane | Case31Candidate
@@ -285,14 +298,13 @@ def case31_residual(spec: Case31Candidate, n0: float, x: float) -> float:
     with d7 = d8 = 0 it is strictly monotone in x, so it cannot.
     """
     t = spec.c4 * x + spec.d9
-    if abs(t) < 1e-12:
+    if t == 0.0:
         raise SingularPointError(f"sample x = {x!r} hits the pole")
-    try:
-        t4 = t**4
-    except OverflowError:
-        raise NumericOverflowError(f"relation defect overflows at sample x = {x!r}") from None
     lead = spec.c4 * spec.c4 * (4.0 * spec.c3 * spec.d8 - spec.d7 * spec.d7)
-    return lead / t4 - 2.0 * spec.m0 * spec.c3 / t - spec.m0 * spec.m0 - n0
+    try:
+        return lead / t**4 - 2.0 * spec.m0 * spec.c3 / t - spec.m0 * spec.m0 - n0
+    except (OverflowError, ZeroDivisionError):  # t**4 overflows, or underflows to 0.0
+        raise NumericOverflowError(f"relation defect overflows at sample x = {x!r}") from None
 
 
 def case31_contradiction_scan(
@@ -353,8 +365,9 @@ def spec_to_dict(spec: FamilySpec) -> dict:
 
 
 def spec_from_dict(data: object) -> FamilySpec:
-    """Strict decoder: unknown kinds, unknown fields, missing fields, and
-    non-numeric or non-finite values are all errors."""
+    """Strict decoder of the wire form: unknown kinds, unknown fields,
+    missing fields and non-numeric values are errors. The record refuses
+    its own non-finite or zero fields."""
     if not isinstance(data, dict):
         raise InvalidSpecError("family spec must be a JSON object")
     kind = data.get("kind")
@@ -379,12 +392,9 @@ def spec_from_dict(data: object) -> FamilySpec:
         value = data[name]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InvalidSpecError(f"field {name!r} must be a number")
-        # json reads integers of any size, and NaN and Infinity, which
-        # RFC 8259 forbids.
+        # json reads integers of any size, which the record refuses as inf.
         try:
             kwargs[name] = float(value)
         except OverflowError:
             kwargs[name] = math.inf
-        if not math.isfinite(kwargs[name]):
-            raise InvalidSpecError(f"field {name!r} must be finite")
     return cls(**kwargs)

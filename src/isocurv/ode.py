@@ -75,17 +75,17 @@ class SaturatedLinearODE:
 @record
 class IVP:
     """Initial value problem for f'' = numerator/denominator, advanced from
-    (t0, f(t0), f'(t0)) to t_end with the given nominal step."""
+    (t0, f0 = f(t0), fp0 = f'(t0)) to t_end with the given nominal step."""
 
     rhs: ShiftedReciprocalODE | SaturatedLinearODE
     t0: float
-    y0: float
-    yp0: float
+    f0: float
+    fp0: float
     t_end: float
     step: float
 
     def __post_init__(self):
-        require_finite(self, "t0", "y0", "yp0", "t_end", "step")
+        require_finite(self, "t0", "f0", "fp0", "t_end", "step")
         if self.step <= 0.0:
             raise ValueError("step must be positive")
         if self.t_end <= self.t0:
@@ -170,7 +170,7 @@ def integrate(ivp: IVP) -> list[tuple[float, float, float]]:
     exec(_stepper(rhs[:2]), namespace)
     span = ivp.t_end - ivp.t0
     n = max(1, round(span / ivp.step))
-    return namespace["run"](ivp.t0, ivp.y0, ivp.yp0, n, span / n)
+    return namespace["run"](ivp.t0, ivp.f0, ivp.fp0, n, span / n)
 
 
 def shifted_reciprocal_solution(
@@ -195,17 +195,17 @@ def shifted_reciprocal_residual(
     return (m0 / (2.0 * c3) + f) * fpp - 2.0 * fp * fp
 
 
-def linear_force_solution(c5: float, y0: float, yp0: float, t: float, t0: float = 0.0) -> float:
-    """Closed form of f'' = c5 f with f(t0) = y0, f'(t0) = yp0 (the saturated
+def linear_force_solution(c5: float, f0: float, fp0: float, t: float, t0: float = 0.0) -> float:
+    """Closed form of f'' = c5 f with f(t0) = f0, f'(t0) = fp0 (the saturated
     equation at d10 = 0)."""
     dt = t - t0
     if c5 > 0.0:
         w = math.sqrt(c5)
         try:
-            return y0 * math.cosh(w * dt) + yp0 / w * math.sinh(w * dt)
+            return f0 * math.cosh(w * dt) + fp0 / w * math.sinh(w * dt)
         except OverflowError:  # cosh and sinh pass the float range once w (t - t0) > ~710
             raise NumericOverflowError(f"closed form overflows at t = {t!r}") from None
     if c5 < 0.0:
         w = math.sqrt(-c5)
-        return y0 * math.cos(w * dt) + yp0 / w * math.sin(w * dt)
+        return f0 * math.cos(w * dt) + fp0 / w * math.sin(w * dt)
     raise InvalidSpecError("closed form requires c5 != 0")

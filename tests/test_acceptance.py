@@ -211,8 +211,8 @@ def test_criterion_08():
     growth = IVP(
         SaturatedLinearODE(c5=1.0, d10=0.0),
         t0=0.0,
-        y0=1.0,
-        yp0=0.0,
+        f0=1.0,
+        fp0=0.0,
         t_end=1.0,
         step=1e-3,
     )
@@ -227,8 +227,8 @@ def test_criterion_08():
     recip = IVP(
         ShiftedReciprocalODE(c3=c3, m0=m0),
         t0=0.0,
-        y0=shifted_reciprocal_solution(c3, c4, d9, m0, 0.0),
-        yp0=c4 / d9**2,
+        f0=shifted_reciprocal_solution(c3, c4, d9, m0, 0.0),
+        fp0=c4 / d9**2,
         t_end=1.0,
         step=1e-3,
     )
@@ -292,8 +292,8 @@ def test_criterion_09():
         ivp = IVP(
             SaturatedLinearODE(c5=1.0, d10=0.0),
             t0=0.0,
-            y0=1.0,
-            yp0=0.0,
+            f0=1.0,
+            fp0=0.0,
             t_end=1.0,
             step=step,
         )

@@ -571,6 +571,19 @@ def test_verify_family_contradiction(capsys, tmp_path):
     assert report["tolerances"] == {"min_samples": 3}
 
 
+def test_a_contradiction_sample_is_refused_only_where_it_cannot_be_evaluated(capsys, tmp_path):
+    # With c4 = 1e-11 every sample off the pole x = 0 has |c4 x + d9| below
+    # 1e-12, and its defect is still a finite float.
+    spec_path = write_spec(tmp_path, "c31.json", {**CASE_31, "c4": 1e-11})
+    code, report, err = run_cli(capsys, "verify-family", "--spec", spec_path)
+    assert (code, err) == (0, "")
+    assert report["result"]["n_samples"] == 100
+    # With c4 = 1e-100, (c4 x + d9)^4 underflows to 0.0 at every sample.
+    spec_path = write_spec(tmp_path, "c31.json", {**CASE_31, "c4": 1e-100})
+    code, report, err = run_cli(capsys, "verify-family", "--spec", spec_path)
+    assert (code, report, err) == (2, None, "error: relation defect overflows at sample x = -1.0\n")
+
+
 def test_verify_family_contradiction_custom_n0(capsys, tmp_path):
     spec_path = write_spec(tmp_path, "c31.json", CASE_31)
     code, report, _ = run_cli(

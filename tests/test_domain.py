@@ -59,10 +59,10 @@ def test_validation():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_fields_are_named(bad):
-    ivp = dict(rhs=SaturatedLinearODE(c5=1.0, d10=0.0), t0=0.0, y0=1.0, yp0=0.0, t_end=1.0, step=0.1)
+    ivp = dict(rhs=SaturatedLinearODE(c5=1.0, d10=0.0), t0=0.0, f0=1.0, fp0=0.0, t_end=1.0, step=0.1)
     cases = [(GridDomain, {}, name) for name in ("x_min", "x_max", "y_min", "y_max", "exclusion_radius")]
     cases += [(LWParams, dict(a=1.0, b=1.0, c=1.0), name) for name in ("a", "b", "c")]
-    cases += [(IVP, ivp, name) for name in ("t0", "y0", "yp0", "t_end", "step")]
+    cases += [(IVP, ivp, name) for name in ("t0", "f0", "fp0", "t_end", "step")]
     cases += [(ShiftedReciprocalODE, dict(c3=1.0, m0=1.0), name) for name in ("c3", "m0")]
     cases += [(SaturatedLinearODE, dict(c5=1.0, d10=0.0), name) for name in ("c5", "d10")]
     for cls, fields, name in cases:

@@ -71,6 +71,26 @@ def test_family_parameter_validation():
     NonIsotropicPlane(p=0.0, q=0.0, r=0.0)
 
 
+ALL_KINDS = [
+    SPEC_A,
+    CaseB(g0=3.0, m0=2.0, n0=6.0, d3=0.5, d4=-1.0),
+    SPEC_C,
+    ParabolicSphere(c3=-1.5, d8=1.0, d9=-2.0, d10=0.25),
+    NonIsotropicPlane(p=-2.0, q=0.0, r=3.0),
+    Case31Candidate(c3=1.5, c4=2.0, d7=1.0, d8=2.0, d9=0.5, m0=-3.0),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda spec: type(spec).__name__)
+def test_a_spec_refuses_a_non_finite_field_by_name(spec, bad):
+    fields = spec_to_dict(spec)
+    del fields["kind"]
+    for name in fields:
+        with pytest.raises(InvalidSpecError, match=f"^field '{name}' must be finite$"):
+            type(spec)(**dict(fields, **{name: bad}))
+
+
 # -- builders ----------------------------------------------------------------------
 
 
@@ -241,8 +261,8 @@ def test_case31_residual_closed_form_values():
 def test_case31_residual_pole():
     with pytest.raises(SingularPointError):
         case31_residual(SPEC_31, 0.0, 0.0)
-    with pytest.raises(SingularPointError):
-        case31_residual(SPEC_31, 0.0, 1e-13)
+    # Only the pole itself is refused: near it the defect is a large float.
+    assert case31_residual(SPEC_31, 0.0, 1e-13) == -20000000000001.0
 
 
 def test_case31_residual_matches_surface_pipeline():
@@ -327,15 +347,7 @@ def test_spec_to_dict():
 
 
 def test_spec_round_trip_all_kinds():
-    specs = [
-        SPEC_A,
-        CaseB(g0=3.0, m0=2.0, n0=6.0, d3=0.5, d4=-1.0),
-        SPEC_C,
-        ParabolicSphere(c3=-1.5, d8=1.0, d9=-2.0, d10=0.25),
-        NonIsotropicPlane(p=-2.0, q=0.0, r=3.0),
-        Case31Candidate(c3=1.5, c4=2.0, d7=1.0, d8=2.0, d9=0.5, m0=-3.0),
-    ]
-    for spec in specs:
+    for spec in ALL_KINDS:
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
 

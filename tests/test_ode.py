@@ -37,18 +37,18 @@ def test_rhs_validation():
 def test_ivp_validation():
     rhs = SaturatedLinearODE(c5=1.0, d10=0.0)
     with pytest.raises(ValueError):
-        IVP(rhs, t0=0.0, y0=1.0, yp0=0.0, t_end=1.0, step=0.0)
+        IVP(rhs, t0=0.0, f0=1.0, fp0=0.0, t_end=1.0, step=0.0)
     with pytest.raises(ValueError):
-        IVP(rhs, t0=0.0, y0=1.0, yp0=0.0, t_end=1.0, step=-0.1)
+        IVP(rhs, t0=0.0, f0=1.0, fp0=0.0, t_end=1.0, step=-0.1)
     with pytest.raises(ValueError):
-        IVP(rhs, t0=1.0, y0=1.0, yp0=0.0, t_end=1.0, step=0.1)
+        IVP(rhs, t0=1.0, f0=1.0, fp0=0.0, t_end=1.0, step=0.1)
     with pytest.raises(ValueError):
-        IVP(rhs, t0=0.0, y0=1.0, yp0=0.0, t_end=1.0, step=2.0)
+        IVP(rhs, t0=0.0, f0=1.0, fp0=0.0, t_end=1.0, step=2.0)
 
 
 def test_trajectory_shape():
     rhs = SaturatedLinearODE(c5=1.0, d10=0.0)
-    traj = integrate(IVP(rhs, t0=0.0, y0=1.0, yp0=0.0, t_end=1.0, step=0.3))
+    traj = integrate(IVP(rhs, t0=0.0, f0=1.0, fp0=0.0, t_end=1.0, step=0.3))
     # 1/0.3 rounds to 3 equal steps
     assert len(traj) == 4
     assert traj[0] == (0.0, 1.0, 0.0)
@@ -60,7 +60,7 @@ def test_trajectory_shape():
 
 def _final_error(step: float) -> float:
     rhs = SaturatedLinearODE(c5=1.0, d10=0.0)
-    traj = integrate(IVP(rhs, t0=0.0, y0=1.0, yp0=0.0, t_end=1.0, step=step))
+    traj = integrate(IVP(rhs, t0=0.0, f0=1.0, fp0=0.0, t_end=1.0, step=step))
     return abs(traj[-1][1] - math.cosh(1.0))
 
 
@@ -71,7 +71,7 @@ def test_growth_benchmark():
 def test_oscillation_benchmark():
     # f'' = -4 f with f(0) = 0, f'(0) = 2 is sin(2t).
     rhs = SaturatedLinearODE(c5=-4.0, d10=0.0)
-    traj = integrate(IVP(rhs, t0=0.0, y0=0.0, yp0=2.0, t_end=1.5, step=1e-3))
+    traj = integrate(IVP(rhs, t0=0.0, f0=0.0, fp0=2.0, t_end=1.5, step=1e-3))
     for t, f, fp in traj[:: len(traj) // 7]:
         assert f == pytest.approx(math.sin(2.0 * t), abs=1e-9)
         assert fp == pytest.approx(2.0 * math.cos(2.0 * t), abs=1e-9)
@@ -81,7 +81,7 @@ def test_energy_invariant():
     # For f'' = c5 f the quantity f'^2 - c5 f^2 is conserved.
     c5 = 1.0
     rhs = SaturatedLinearODE(c5=c5, d10=0.0)
-    traj = integrate(IVP(rhs, t0=0.0, y0=1.0, yp0=0.0, t_end=1.0, step=1e-3))
+    traj = integrate(IVP(rhs, t0=0.0, f0=1.0, fp0=0.0, t_end=1.0, step=1e-3))
     e0 = traj[0][2] ** 2 - c5 * traj[0][1] ** 2
     drift = max(abs(fp * fp - c5 * f * f - e0) for _, f, fp in traj)
     assert drift <= 1e-6
@@ -99,7 +99,7 @@ def test_halving_the_step_divides_the_error_by_sixteen():
 def test_saturated_rhs_with_saturation_term():
     # d10 != 0 bends the force law; at small f it stays close to linear.
     rhs = SaturatedLinearODE(c5=1.0, d10=0.5)
-    traj = integrate(IVP(rhs, t0=0.0, y0=0.01, yp0=0.0, t_end=1.0, step=1e-3))
+    traj = integrate(IVP(rhs, t0=0.0, f0=0.01, fp0=0.0, t_end=1.0, step=1e-3))
     linear = linear_force_solution(1.0, 0.01, 0.0, 1.0)
     assert traj[-1][1] == pytest.approx(linear, rel=1e-2)
     assert traj[-1][1] != linear  # but not identical: the term does act
@@ -110,10 +110,10 @@ def test_reciprocal_trajectory_matches_closed_form():
     # with c3 = 1, m0 = 1; start from its exact data at x = 0.
     c3, c4, d9, m0 = 1.0, 1.0, 2.0, 1.0
     rhs = ShiftedReciprocalODE(c3=c3, m0=m0)
-    y0 = shifted_reciprocal_solution(c3, c4, d9, m0, 0.0)
-    yp0 = c4 / (c4 * 0.0 + d9) ** 2
-    traj = integrate(IVP(rhs, t0=0.0, y0=y0, yp0=yp0, t_end=2.0, step=1e-3))
-    assert y0 == -1.0
+    f0 = shifted_reciprocal_solution(c3, c4, d9, m0, 0.0)
+    fp0 = c4 / (c4 * 0.0 + d9) ** 2
+    traj = integrate(IVP(rhs, t0=0.0, f0=f0, fp0=fp0, t_end=2.0, step=1e-3))
+    assert f0 == -1.0
     for t, f, fp in traj[:: len(traj) // 9]:
         assert f == pytest.approx(
             shifted_reciprocal_solution(c3, c4, d9, m0, t), abs=1e-9
@@ -129,7 +129,7 @@ def test_degenerate_start_raises():
     # Starting exactly on the vanishing denominator: f0 = -m0/(2 c3).
     rhs = ShiftedReciprocalODE(c3=1.0, m0=1.0)
     with pytest.raises(DegenerateODEError) as exc_info:
-        integrate(IVP(rhs, t0=0.0, y0=-0.5, yp0=1.0, t_end=1.0, step=0.1))
+        integrate(IVP(rhs, t0=0.0, f0=-0.5, fp0=1.0, t_end=1.0, step=0.1))
     assert exc_info.value.t == 0.0
 
 
@@ -137,13 +137,13 @@ def test_denominator_floor_is_a_band():
     rhs = SaturatedLinearODE(c5=1.0, d10=-1.0)
     # c5 d10 f + 1 = 1 - f, so f0 = 1 - 1e-9 is inside the floor band
     with pytest.raises(DegenerateODEError):
-        integrate(IVP(rhs, t0=0.0, y0=1.0 - 1e-9, yp0=0.0, t_end=1.0, step=0.1))
+        integrate(IVP(rhs, t0=0.0, f0=1.0 - 1e-9, fp0=0.0, t_end=1.0, step=0.1))
 
 
 def test_oversized_step_is_rejected_by_the_probe():
     rhs = SaturatedLinearODE(c5=9.0, d10=0.0)
     with pytest.raises(StepTooLargeError) as exc_info:
-        integrate(IVP(rhs, t0=0.0, y0=1.0, yp0=0.0, t_end=2.0, step=1.0))
+        integrate(IVP(rhs, t0=0.0, f0=1.0, fp0=0.0, t_end=2.0, step=1.0))
     assert exc_info.value.t == 0.0
 
 
@@ -152,7 +152,7 @@ def test_a_non_finite_state_is_refused():
     # false with the error limit as with everything.
     rhs = SaturatedLinearODE(c5=2.0, d10=0.5)
     with pytest.raises(NumericOverflowError, match=r"^non-finite state in the step from t = 0\.0$"):
-        integrate(IVP(rhs, t0=0.0, y0=1e308, yp0=0.0, t_end=1.0, step=0.1))
+        integrate(IVP(rhs, t0=0.0, f0=1e308, fp0=0.0, t_end=1.0, step=0.1))
 
 
 # -- bit identity with the stepper as first written --------------------------------
@@ -196,8 +196,8 @@ def _ref_integrate(ivp):
     span = ivp.t_end - ivp.t0
     n = max(1, round(span / ivp.step))
     h = span / n
-    f = ivp.y0
-    fp = ivp.yp0
+    f = ivp.f0
+    fp = ivp.fp0
     out = [(ivp.t0, f, fp)]
     for k in range(n):
         t = ivp.t0 + k * h
@@ -230,8 +230,8 @@ def _seeded_ivp(rng, max_steps):
         rhs = ShiftedReciprocalODE(c3=signed(0.3, 2.0), m0=signed(0.3, 2.0))
     t0 = rng.uniform(-1.0, 1.0)
     t_end = t0 + rng.uniform(0.2, 2.0)
-    y0, yp0 = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
-    return IVP(rhs, t0, y0, yp0, t_end, (t_end - t0) / rng.randint(1, max_steps))
+    f0, fp0 = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
+    return IVP(rhs, t0, f0, fp0, t_end, (t_end - t0) / rng.randint(1, max_steps))
 
 
 def test_trajectories_are_those_of_the_reference_stepper_bit_for_bit():
@@ -274,7 +274,7 @@ def test_the_stepper_is_compiled_once_per_equation_kind(monkeypatch):
     """The compiled loop is shared by each equation kind; its constants,
     floor and error limit are bound at every call."""
     ode._stepper.cache_clear()
-    span = dict(t0=0.0, y0=1.0, yp0=0.5, t_end=1.0, step=0.25)
+    span = dict(t0=0.0, f0=1.0, fp0=0.5, t_end=1.0, step=0.25)
     runs = [integrate(IVP(SaturatedLinearODE(c5, 0.5), **span)) for c5 in (1.0, 2.0, -1.0)]
     runs.append(integrate(IVP(ShiftedReciprocalODE(1.0, 4.0), **span)))
     assert (ode._stepper.cache_info().misses, ode._stepper.cache_info().hits) == (2, 2)
@@ -325,8 +325,8 @@ def test_linear_force_solution_values():
 
 
 def test_linear_force_solution_names_an_overflow():
-    # cosh(w t) passes the float range at w t ~ 710.48 even where y0 cosh +
-    # yp0/w sinh = e^-t is tiny.
+    # cosh(w t) passes the float range at w t ~ 710.48 even where f0 cosh +
+    # fp0/w sinh = e^-t is tiny.
     assert math.isfinite(linear_force_solution(1.0, 1.0, -1.0, 710.0))
     with pytest.raises(NumericOverflowError, match=r"^closed form overflows at t = 710\.5$"):
         linear_force_solution(1.0, 1.0, -1.0, 710.5)

@@ -77,7 +77,7 @@ FIELDS = {
     "MeshStats": "n_vertices n_triangles",
     "ShiftedReciprocalODE": "c3 m0",
     "SaturatedLinearODE": "c5 d10",
-    "IVP": "rhs t0 y0 yp0 t_end step",
+    "IVP": "rhs t0 f0 fp0 t_end step",
     "JetComparison": "deviations flagged=() tol_rel=0.0",
     "LWParams": "a b c",
     "NormalizedLW": "m0 n0",
