@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .curvature import curvatures
+from . import __getattr__ as _package_name
 from .domain import GridDomain
 from .errors import (
     EmptyDomainError,
@@ -31,7 +31,19 @@ from .errors import (
     record,
 )
 from .expr import Add, Const, Div, Expr, Mul, Neg, Pow, Sub, Var, eval_jet, num
-from .weingarten import LWParams, ResidualReport, scan_grid, summarize
+
+_LAZY = ("LWParams", "curvatures", "scan_grid", "summarize")
+
+
+def __getattr__(name: str):
+    """Bind one of _LAZY here on first use (PEP 562), so a spec mesh loads
+    neither weingarten nor curvature. The functions below import these
+    names from this module when they run, so a caller that wraps one here
+    (bench/tracing.py does) sees its calls."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = _package_name(name)
+    return value
 
 
 def _check(spec, *nonzero: str) -> None:
@@ -234,6 +246,8 @@ def predict(spec: FamilySpec) -> FamilyPrediction:
     triple is singled out. A constant that overflows raises
     NumericOverflowError.
     """
+    from .families import LWParams
+
     match spec:
         case CaseA(m0=m0, n0=n0) | CaseB(m0=m0, n0=n0):
             prediction = FamilyPrediction(
@@ -270,6 +284,8 @@ def verify_family(spec: FamilySpec, domain: GridDomain | None = None) -> Residua
 
     Raises NoConstantPredictionError for Case31Candidate, as predict does.
     """
+    from .families import curvatures, scan_grid
+
     prediction = predict(spec)
     surface = build(spec)
     if domain is None:
@@ -315,6 +331,8 @@ def case31_contradiction_scan(
     A strictly positive std_dev over at least 3 samples shows the defect is
     non-constant, i.e. no constant n0 can close the relation.
     """
+    from .families import summarize
+
     if not isinstance(spec, Case31Candidate):
         raise InvalidSpecError("contradiction scan applies to Case31Candidate only")
     if not xs:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -14,6 +15,15 @@ from isocurv import (
 )
 
 
+def _vertices(domain, heights):
+    """The (x, y, z) of each vertex, row-major: the kept columns' x, each
+    row's y and the heights that build_mesh returns."""
+    xs = [x for _, x in domain.columns()]
+    nodes = [(x, y) for y in domain.ys() for x in xs]
+    assert len(nodes) == len(heights)
+    return [(x, y, z) for (x, y), z in zip(nodes, heights)]
+
+
 def _obj_faces(surface, domain, path):
     """The (a, b, c) of each `f` line that write_obj writes."""
     write_obj(surface, domain, str(path))
@@ -24,13 +34,13 @@ def _obj_faces(surface, domain, path):
 def test_full_grid_mesh_counts(tmp_path):
     surface = parse("x*y")
     domain = GridDomain(nx=3, ny=3)
-    vertices, cells = build_mesh(surface, domain)
-    assert len(vertices) == 9
+    heights, xs, cells = build_mesh(surface, domain)
+    assert (len(heights), xs) == (9, [-1.0, 0.0, 1.0])
     assert cells == [0, 1]
     assert len(_obj_faces(surface, domain, tmp_path / "3x3.obj")) == 8
     domain = GridDomain(nx=2, ny=2)
-    vertices, cells = build_mesh(surface, domain)
-    assert len(vertices) == 4
+    heights, xs, cells = build_mesh(surface, domain)
+    assert (len(heights), xs) == (4, [-1.0, 1.0])
     assert cells == [0]
     assert len(_obj_faces(surface, domain, tmp_path / "2x2.obj")) == 2
 
@@ -38,8 +48,11 @@ def test_full_grid_mesh_counts(tmp_path):
 def test_vertices_are_row_major_with_exact_heights(tmp_path):
     surface = parse("x+2*y")
     domain = GridDomain(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, nx=2, ny=2)
-    vertices, cells = build_mesh(surface, domain)
-    assert vertices == [
+    heights, xs, cells = build_mesh(surface, domain)
+    # One 8-byte float per vertex, and no per-vertex tuple.
+    assert type(heights) is array and heights.typecode == "d"
+    assert heights.tolist() == [0.0, 1.0, 2.0, 3.0] and xs == [0.0, 1.0]
+    assert _vertices(domain, heights) == [
         (0.0, 0.0, 0.0),
         (1.0, 0.0, 1.0),
         (0.0, 1.0, 2.0),
@@ -60,8 +73,9 @@ def test_exclusion_opens_a_gap(tmp_path):
         exclusion_radius=0.1,
         singular_loci=(0.0,),
     )
-    vertices, cells = build_mesh(surface, domain)
-    assert len(vertices) == 12
+    heights, xs, cells = build_mesh(surface, domain)
+    assert len(heights) == 12 and xs == [-1.0, -0.5, 0.5, 1.0]
+    vertices = _vertices(domain, heights)
     # Kept columns x = -1, -0.5, 0.5, 1: only positions 0 and 2 are cells.
     assert cells == [0, 2]
     triangles = _obj_faces(surface, domain, tmp_path / "gap.obj")
@@ -121,9 +135,9 @@ def test_obj_indices_stay_in_range(tmp_path):
 def test_value_kernel_meshes_where_the_derivatives_overflow(tmp_path):
     # At x = 5e-324 sqrt's value is finite but its second derivative is not.
     domain = GridDomain(x_min=5e-324, x_max=1.0, y_min=0.0, y_max=1.0, nx=3, ny=2)
-    vertices, cells = build_mesh(parse("sqrt(x)"), domain)
-    assert len(vertices) == 6 and cells == [0, 1]
-    assert vertices[0] == (5e-324, 0.0, math.sqrt(5e-324))
+    heights, _, cells = build_mesh(parse("sqrt(x)"), domain)
+    assert len(heights) == 6 and cells == [0, 1]
+    assert _vertices(domain, heights)[0] == (5e-324, 0.0, math.sqrt(5e-324))
     stats = write_obj(parse("sqrt(x)"), domain, str(tmp_path / "sqrt.obj"))
     assert stats == MeshStats(n_vertices=6, n_triangles=4)
 
@@ -134,10 +148,11 @@ _GAP = GridDomain(nx=9, ny=4, exclusion_radius=0.2, singular_loci=(0.1,))
 
 
 def test_obj_lines_match_build_mesh(tmp_path):
-    vertices, cells = build_mesh(_MIXED, _GAP)
+    heights, xs, cells = build_mesh(_MIXED, _GAP)
+    vertices = _vertices(_GAP, heights)
     # Each row pair, its lower row starting at vertex r, has every kept
     # cell's two faces.
-    m = len(vertices) // _GAP.ny
+    m = len(xs)
     triangles = [
         face
         for r in range(0, len(vertices) - m, m)
@@ -155,16 +170,15 @@ def test_obj_lines_match_build_mesh(tmp_path):
 
 
 def test_heights_without_integer_powers_equal_eval_value():
-    vertices, _ = build_mesh(_MIXED, _GAP)
-    for x, y, z in vertices:
+    for x, y, z in _vertices(_GAP, build_mesh(_MIXED, _GAP)[0]):
         assert z.hex() == eval_value(_MIXED, (x, y)).hex()
 
 
 def _old_write_obj(surface, domain, path):
-    """The per-vertex writer that write_obj replaced, kept verbatim with
-    the triangle enumeration that build_mesh once returned: the bytes it
-    wrote are the OBJ contract."""
-    vertices, _ = build_mesh(surface, domain)
+    """The per-vertex writer that write_obj replaced, kept with the
+    (x, y, z) list and the triangle enumeration that build_mesh once
+    returned: the bytes it wrote are the OBJ contract."""
+    vertices = _vertices(domain, build_mesh(surface, domain)[0])
     columns = domain.columns()
     m = len(columns)
     ids = list(range(1, len(vertices) + 1))
@@ -214,22 +228,24 @@ def test_tiny_case_writes_negative_zeros_and_exponents(tmp_path):
     assert " -0.0\n" in text and "e-05 " in text and "e+16 " in text and "e-09\n" in text
 
 
-def test_mesh_memory_holds_no_faces():
-    # The faces follow from the kept cells, so a mesh holds its vertices
-    # and little else: 201^2 of them peak near 3.8 MB, and a list of their
-    # 80,000 triangles would take the peak past 10 MB.
+def test_mesh_memory_holds_one_float_per_vertex():
+    # The faces follow from the kept cells and each vertex's x and y from
+    # the grid, so a mesh holds one 8-byte height per vertex and little
+    # else: 201^2 of them peak near 0.35 MB. A list of (x, y, z) tuples
+    # would take the peak to 3.8 MB, and a list of the 80,000 triangles past
+    # 10 MB.
     tracemalloc.start()
     try:
         build_mesh(_MIXED, GridDomain(nx=201, ny=201))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 << 20
+    assert peak < 1 << 20
 
 
 def test_writer_memory_is_bounded_by_a_row(tmp_path):
-    # The writer holds one row of text at a time: its peak above the mesh
-    # lists' own stays far below the ~5 MB a whole 201^2 file's lines take.
+    # The writer holds one row of text at a time: its peak above the mesh's
+    # own stays far below the ~5 MB a whole 201^2 file's lines take.
     domain = GridDomain(nx=201, ny=201)
     tracemalloc.start()
     try:

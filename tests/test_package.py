@@ -152,11 +152,7 @@ def test_each_subcommand_loads_exactly_the_modules_it_runs(tmp_path):
             kernel | {"curvature", "domain", "families", "weingarten"},
         "ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1 --step 0.1": {"errors", "ode"},
         f"mesh --surface x*y --grid 2,2 --out {tmp_path / 'm.obj'}": kernel | {"domain", "mesh"},
-        # A spec mesh loads weingarten and curvature, which it never runs,
-        # because families imports them at module level (CHANGES.md, FOUND:
-        # "mesh --spec loads isocurv.weingarten and isocurv.curvature").
-        f"mesh --spec {spec} --grid 2,2 --out {tmp_path / 'm.obj'}":
-            kernel | {"curvature", "domain", "families", "mesh", "weingarten"},
+        f"mesh --spec {spec} --grid 2,2 --out {tmp_path / 'm.obj'}": kernel | {"domain", "families", "mesh"},
     }
     env = {**os.environ, "PYTHONPATH": str(Path(isocurv.__file__).parents[1])}
     for argv, modules in runs.items():
