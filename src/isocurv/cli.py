@@ -16,12 +16,14 @@ Each subcommand imports what it calls when it runs, so a process pays
 start-up only for the modules it uses: eval and scan never load the
 families, ODE, mesh or oracle modules, eval and ode load neither the grid
 nor the scan module, and ode loads neither the parser nor the jets. The
-process ends as soon as its report is flushed (entrypoint).
+report is written by _dumps, with json.dumps's bytes, so only verify-family
+and mesh --spec import json, to read their spec file, and nothing here
+imports re (json does). The process ends as soon as its report is flushed
+(entrypoint).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -29,7 +31,7 @@ from collections.abc import Callable
 from types import SimpleNamespace
 
 from . import __getattr__ as _package_name
-from .errors import IsocurvError, asdict
+from .errors import InvalidSpecError, IsocurvError, asdict
 
 
 def __getattr__(name: str):
@@ -155,14 +157,19 @@ def cmd_scan(args) -> tuple:
 def _load_spec(path: str, params: dict):
     """The family spec in the JSON file at path, its surface and its
     singular loci; the spec also goes into params."""
+    import json  # only a spec file is read as JSON; a report is written by _dumps
+
     from .cli import build, singular_loci, spec_from_dict, spec_to_dict
 
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise InvalidSpecError(f"invalid JSON in family spec: {err}") from None
     except RecursionError:  # the decoder recurses once per nested array or object
-        raise json.JSONDecodeError("arrays or objects nest too deeply", text, 0) from None
+        raise InvalidSpecError("invalid JSON in family spec: arrays or objects nest too"
+                               " deeply: line 1 column 1 (char 0)") from None
     spec = spec_from_dict(data)
     params["spec"] = spec_to_dict(spec)
     return spec, build(spec), singular_loci(spec)
@@ -392,11 +399,44 @@ def _non_finite(value, path: str) -> str | None:
         return None if math.isfinite(value) else f"{path} = {value!r} is not finite"
     if isinstance(value, dict):
         items = ((f"{path}.{k}" if path else k, v) for k, v in value.items())
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
     else:
         return None
     return next(filter(None, (_non_finite(v, p) for p, v in items)), None)
+
+
+# json.dumps's escapes of the ASCII characters that it does not write as
+# themselves, by code point.
+_ESCAPES = {**{n: f"\\u{n:04x}" for n in (*range(32), 127)},
+            **{ord(c): "\\" + e for c, e in zip('"\\\n\r\t\b\f', '"\\nrtbf')}}
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2, allow_nan=False) for what a
+    report holds: dicts with str keys, lists, tuples, str, int, float, bool
+    and None. A float that is not finite raises ValueError."""
+    if isinstance(value, str):
+        text = value.translate(_ESCAPES)
+        if not text.isascii():  # each UTF-16 code unit of the rest as \uXXXX
+            units = memoryview(text.encode("utf-16", "surrogatepass"))[2:].cast("H")
+            text = "".join(chr(u) if u < 0x80 else f"\\u{u:04x}" for u in units)
+        return f'"{text}"'
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("RFC 8259 has no NaN or Infinity")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_dumps(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+    else:
+        items = [_dumps(v, inner) for v in value]
+    start, end = "{}" if isinstance(value, dict) else "[]"
+    return start + (inner + ("," + inner).join(items) + indent if items else "") + end
 
 
 def _error(message: str) -> int:
@@ -428,15 +468,13 @@ def main(argv: list[str] | None = None) -> int:
                 "tolerances": tolerances,
             }
             try:
-                text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-            except ValueError as err:  # RFC 8259 has no NaN or Infinity
-                raise ValueError(_non_finite(report, "") or err) from None
+                text = _dumps(report) + "\n"
+            except ValueError:  # a float that is not finite
+                raise ValueError(_non_finite(report, "")) from None
             code = 1 if passed is False else 0
         if sys.stdout is None:  # the process started with standard output closed
             raise OSError("standard output is closed")
         sys.stdout.write(text)
-    except json.JSONDecodeError as err:
-        return _error(f"invalid JSON in family spec: {err}")
     except (IsocurvError, ValueError, ArithmeticError, OSError) as err:
         return _error(str(err))
     return code

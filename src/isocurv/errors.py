@@ -4,10 +4,14 @@ Everything raised on purpose derives from IsocurvError so callers can catch
 one base class at the boundary (the CLI does exactly that). Every value type
 is a @record: a frozen, slotted class built without the dataclasses module,
 whose import and per-class code generation each process would pay at start.
+A record compiles nothing of its own either: its __init__ reuses the code
+compiled once per process for its field count.
 """
 
+import functools
 import math
 from operator import attrgetter
+from types import CodeType, FunctionType
 
 
 def record(cls):
@@ -15,14 +19,17 @@ def record(cls):
     of the record it extends, as dataclass(frozen=True, slots=True) would:
     __init__ takes the fields in order with their defaults, then runs
     __post_init__ if cls has one; == and hash compare the fields of records
-    of one class, less any that a class attribute _uncompared names."""
+    of one class, less any that a class attribute _uncompared names.
+
+    Nothing is compiled per record: each __init__ is a copy of the one code
+    object that _init_code compiles per field count, with the record's field
+    names put in as its argument names."""
     own = tuple(cls.__annotations__)
     names = getattr(cls, "__match_args__", ()) + own
     inherited = getattr(cls.__init__, "__defaults__", None) or ()
     defaults = dict(zip(names[len(names) - len(own) - len(inherited):], inherited))
     body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
     defaults.update((n, body.pop(n)) for n in own if n in body)
-    params = ", ".join(f"{n}=_d[{n!r}]" if n in defaults else n for n in names)
     compared = [n for n in names if n not in getattr(cls, "_uncompared", ())]
     # The key is the tuple a dataclass compares and hashes. attrgetter gives
     # one for two or more names; a single value is wrapped, and none is ().
@@ -40,20 +47,33 @@ def record(cls):
 
     # Only __init__ is generated, so it keeps the record's signature. The
     # fields are set through their slots' own setters, which bypass the
-    # frozen __setattr__ and cost less than object.__setattr__.
-    namespace = {"_d": defaults}
-    exec(
-        f"def __init__(self, {params}):\n"
-        + "".join(f"    _set_{n}(self, {n})\n" for n in names)
-        + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""),
-        namespace,
-    )
-    body.update(__init__=namespace["__init__"], __eq__=__eq__, __hash__=__hash__,
+    # frozen __setattr__ and cost less than object.__setattr__; the shared
+    # code reads the i-th setter as the global _set{i}, from a globals dict
+    # that belongs to this record alone.
+    if tuple(defaults) != names[len(names) - len(defaults):]:
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    setters: dict = {}
+    code = _init_code(len(names), hasattr(cls, "__post_init__"))
+    init = FunctionType(code.replace(co_varnames=("self", *names)), setters, "__init__",
+                        tuple(defaults.values()) or None)
+    body.update(__init__=init, __eq__=__eq__, __hash__=__hash__,
                 __slots__=own, __match_args__=names, __qualname__=cls.__qualname__,
                 __repr__=_repr, __setattr__=_frozen, __delattr__=_frozen, __reduce__=_reduce)
     cls = type(cls)(cls.__name__, cls.__bases__, body)
-    namespace.update((f"_set_{n}", getattr(cls, n).__set__) for n in names)
+    setters.update((f"_set{i}", getattr(cls, n).__set__) for i, n in enumerate(names))
     return cls
+
+
+@functools.cache
+def _init_code(count: int, post_init: bool) -> CodeType:
+    """The code of an __init__ that sets count fields, the i-th (argument
+    _{i}) through the global _set{i}, then calls __post_init__ if post_init."""
+    source = (f"def __init__(self, {', '.join(f'_{i}' for i in range(count))}):\n"
+              + "".join(f"    _set{i}(self, _{i})\n" for i in range(count))
+              + ("    self.__post_init__()\n" if post_init else "    pass\n"))
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["__init__"].__code__
 
 
 def _repr(self):

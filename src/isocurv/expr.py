@@ -32,7 +32,6 @@ no code with these.
 from __future__ import annotations
 
 import math
-import re
 
 from . import jet as jetmath
 from .errors import MixedVariableError, ParseError, UnknownIdentifierError, record, require_finite
@@ -148,9 +147,6 @@ def num(value: float) -> Expr:
 
 # -- tokenizer ---------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
 
 @record
 class _Token:
@@ -159,34 +155,55 @@ class _Token:
     offset: int
 
 
+def _skip(text: str, i: int, chars: str) -> int:
+    """The index past the run of chars that starts at i."""
+    while i < len(text) and text[i] in chars:
+        i += 1
+    return i
+
+
+_DIGITS = "0123456789"
+_LETTERS = "_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+_WORD = _LETTERS + _DIGITS
+
+
+def _number_end(text: str, i: int) -> int:
+    """The end of the number at i, or i if none starts there: the longest
+    match of (digits '.' digits? | '.' digits | digits) (e|E sign? digits)?."""
+    j = _skip(text, i, _DIGITS)
+    if text[j:j + 1] == "." and (j > i or _skip(text, j + 1, _DIGITS) > j + 1):
+        j = _skip(text, j + 1, _DIGITS)
+    if j > i and text[j:j + 1] in ("e", "E"):
+        k = j + 1 + (text[j + 1:j + 2] in ("+", "-"))
+        if (end := _skip(text, k, _DIGITS)) > k:
+            j = end
+    return j
+
+
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of text, then "end". Text must be ASCII, so _DIGITS and
+    _LETTERS are all the digits and letters it can hold."""
     if not text.isascii():
         bad = next(i for i, ch in enumerate(text) if ord(ch) > 127)
         raise ParseError("expression must be ASCII", bad)
     tokens: list[_Token] = []
     i = 0
-    n = len(text)
-    while i < n:
+    while i < len(text):
         ch = text[i]
         if ch in " \t\r\n":
             i += 1
             continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+        if (j := _number_end(text, i)) > i:
+            kind = "num"
+        elif ch in _LETTERS:
+            kind, j = "ident", _skip(text, i + 1, _WORD)
+        elif ch in "+-*/^()":
+            kind, j = ch, i + 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+        tokens.append(_Token(kind, text[i:j], i))
+        i = j
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 

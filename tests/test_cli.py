@@ -1,8 +1,10 @@
 """End-to-end command-line tests: exit codes, report schema, artifacts."""
 
+import contextlib
 import csv
 import errno
 import gc
+import io
 import json
 import math
 import os
@@ -11,10 +13,14 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isocurv
+from isocurv import cli
 from isocurv.cli import main
 
 
@@ -381,6 +387,75 @@ def test_eval_is_byte_stable(capsys):
     main(["eval", "--surface", "exp(x)*sin(y)", "--at", "0.3,0.7"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# -- report writer ------------------------------------------------------------------
+
+# What a report can hold: strings with every escape json.dumps writes (quote,
+# backslash, control characters, DEL, BMP and astral characters, lone
+# surrogates), ints past 64 bits, bools, None and floats whose repr is
+# unusual, nested in dicts, lists and tuples, empty ones included.
+TEXTS = st.one_of(
+    st.text(max_size=8),
+    st.text(st.sampled_from('az "\\\x00\x08\x1f\x7f\x80\u00e9\u2028\uffff\U0001f600\U0010ffff\ud800'),
+            max_size=8),
+)
+SCALARS = st.one_of(
+    TEXTS,
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**80), 2**80) | st.sampled_from([2**64, -(2**64) - 1, 10**30]),
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 1e22, 0.1]),
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXTS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(VALUES)
+def test_the_report_writer_writes_the_bytes_of_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, allow_nan=False)
+
+
+def plant(data, value, bad: float, path: str) -> tuple:
+    """value with bad in place of it or of one part of it, drawn, and the
+    path of that place by keys and indices."""
+    if isinstance(value, (dict, list, tuple)) and value and data.draw(st.booleans()):
+        keys = list(value) if isinstance(value, dict) else range(len(value))
+        key = data.draw(st.sampled_from(keys))
+        part, where = plant(data, value[key], bad, f"{path}.{key}" if isinstance(value, dict)
+                            else f"{path}[{key}]")
+        if isinstance(value, dict):
+            return {**value, key: part}, where
+        return type(value)(part if i == key else v for i, v in enumerate(value)), where
+    return bad, path
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES, st.data())
+def test_main_writes_a_report_or_names_its_first_non_finite_value(value, data):
+    """main writes what json.dumps writes, or, for a report with a NaN or an
+    infinity anywhere, one error line naming it and exit code 2."""
+    bad = data.draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
+    result, where = plant(data, value, bad, "result") if bad is not None else (value, None)
+    out, err = io.StringIO(), io.StringIO()
+    run = {"eval": lambda args: ("x", {"p": 1.5}, result, None, {})}
+    with mock.patch.dict(cli._DISPATCH, run), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(["eval", "--surface", "x", "--at", "1,2"])
+    if bad is None:
+        report = {"schema_version": 2, "command": "eval", "surface": "x", "params": {"p": 1.5},
+                  "result": result, "pass": None, "tolerances": {}}
+        assert (code, out.getvalue(), err.getvalue()) == (
+            0, json.dumps(report, indent=2, allow_nan=False) + "\n", "")
+    else:
+        assert (code, out.getvalue(), err.getvalue()) == (
+            2, "", f"error: {where} = {bad!r} is not finite\n")
 
 
 # -- scan ---------------------------------------------------------------------------

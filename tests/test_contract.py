@@ -77,7 +77,9 @@ SURFACES = (
         ["x*y", "x^2+y^2", "-x*y", "exp(0.3*x)*sin(y)+ln(2+x^2)/sqrt(3+y^2)", "1/x", "ln(x)",
          "sqrt(x*x+y*y)", "x^0.5", "1e200*x*y", "x^-2", "2*x+3*y", "7"]
     ),
-    st.one_of(st.sampled_from(["", "x +", "2x", "x^y", "foo(x)", "(x", "x\u00b2"]), NESTS),
+    # With number texts at the edges of the tokenizer's number form.
+    st.one_of(st.sampled_from(["", "x +", "2x", "x^y", "foo(x)", "(x", "x\u00b2", "1.", ".5", "1e",
+                               "1e+", "1.e5", "..5", "1e5e5"]), NESTS),
 )
 KINDS = (CaseA, CaseB, CaseC, ParabolicSphere, NonIsotropicPlane, Case31Candidate)
 # The messages of bare Python errors, which a refusal must not repeat.

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from conftest import SEED, random_expr
@@ -154,6 +155,52 @@ def test_exponent_fold_failures_point_at_caret():
     # pow(-1, 0.5) has no real value; the error lands on the caret.
     expect_parse_error("x^(-1)^0.5", 1)
     expect_parse_error("x^9e300^2", 1)
+
+
+# The tokenizer's two classes as regular expressions, as it once matched
+# them: the hand scanner must find the same tokens at the same offsets.
+NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def reference_tokens(text: str) -> list:
+    """The tokens of text by the regular expressions, or the ParseError
+    that the tokenizer raises."""
+    if not text.isascii():
+        bad = next(i for i, ch in enumerate(text) if ord(ch) > 127)
+        raise ParseError("expression must be ASCII", bad)
+    tokens, i = [], 0
+    while i < len(text):
+        if text[i] in " \t\r\n":
+            i += 1
+        elif m := NUMBER_RE.match(text, i) or IDENT_RE.match(text, i):
+            tokens.append(expr_module._Token("num" if m.re is NUMBER_RE else "ident", m.group(), i))
+            i = m.end()
+        elif text[i] in "+-*/^()":
+            tokens.append(expr_module._Token(text[i], text[i], i))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+    return tokens + [expr_module._Token("end", "", len(text))]
+
+
+def tokens_or_error(tokenize, text: str):
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return str(err), err.offset
+
+
+@pytest.mark.parametrize("text", ["1.", ".5", "1e", "1e+", "1.e5", "..5", "1e5e5", "1E-07x_9",
+                                  "x1.2.3", "_a9 .e5", "2.5e+10*y", "1e-", "9.e", "x\u00b2"])
+def test_the_tokenizer_matches_the_regular_expressions_on_edge_cases(text):
+    assert tokens_or_error(expr_module._tokenize, text) == tokens_or_error(reference_tokens, text)
+
+
+@settings(max_examples=1000)
+@given(st.text(alphabet="0123456789.eE+-xyzsinAZ_*/^() \t\n$,", max_size=24))
+def test_the_tokenizer_matches_the_regular_expressions(text):
+    assert tokens_or_error(expr_module._tokenize, text) == tokens_or_error(reference_tokens, text)
 
 
 # Each form nests n levels: a level is a parenthesis, a function, a unary

@@ -43,10 +43,11 @@ ALL_NAMES = [n for names in ROOT_NAMES.values() for n in names.split()]
 HEAVY = {"isocurv.families", "isocurv.ode", "isocurv.mesh", "isocurv.oracle"}
 
 
-def loaded_modules(code: str, *flags: str, env: dict | None = None) -> set[str]:
-    """The isocurv modules a fresh interpreter, started with flags and env,
-    holds after running code."""
-    report = "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'isocurv'))"
+def loaded_modules(code: str, *flags: str, env: dict | None = None,
+                   packages: tuple[str, ...] = ("isocurv",)) -> set[str]:
+    """The modules of packages that a fresh interpreter, started with flags
+    and env, holds after running code."""
+    report = f"\nprint(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
     proc = subprocess.run(
         [sys.executable, *flags, "-c", "import sys\n" + code + report],
         capture_output=True,
@@ -190,3 +191,28 @@ def test_no_module_or_subcommand_loads_dataclasses(tmp_path):
         code += run_main(argv.split()) + check.format(argv)
     src = str(Path(isocurv.__file__).parents[1])
     assert "isocurv.mesh" in loaded_modules(code, "-S", env={**os.environ, "PYTHONPATH": src})
+
+
+def test_only_a_spec_file_loads_json_and_nothing_loads_re(tmp_path):
+    """A report is written without json and an expression is read without
+    re, whose imports cost every start-up: only the subcommands that read a
+    family spec file import json, and re comes with it (json's decoder
+    imports re). The children run with -S, so that no module that site
+    imports hides one that the package loads."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind": "CaseC", "c8": 1, "d15": 0, "c9": 1, "d16": 0}')
+    obj = tmp_path / "m.obj"
+    runs = {
+        "eval --surface x*y --at 1.5,2e0": set(),
+        "scan --surface x^2+y^2 --residual euler --grid 2,2": set(),
+        "ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1 --step 0.1": set(),
+        f"mesh --surface x*y --grid 2,2 --out {obj}": set(),
+        f"verify-family --spec {spec} --grid 3,3": {"json", "re"},
+        f"mesh --spec {spec} --grid 2,2 --out {obj}": {"json", "re"},
+    }
+    env = {**os.environ, "PYTHONPATH": str(Path(isocurv.__file__).parents[1])}
+    every = "".join(f"import isocurv.{m}\n" for m in ROOT_NAMES) + "import isocurv.cli\n"
+    assert not loaded_modules(every, "-S", env=env, packages=("json", "re"))
+    for argv, modules in runs.items():
+        loaded = loaded_modules(run_main(argv.split()), "-S", env=env, packages=("json", "re"))
+        assert {m.split(".")[0] for m in loaded} == modules, argv

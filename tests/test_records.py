@@ -1,6 +1,7 @@
 """Every record class behaves as the dataclass(frozen=True, slots=True) it
 replaced. Each is checked against a dataclass twin made from FIELDS, the
-fields and defaults the records had as dataclasses."""
+fields and defaults the records had as dataclasses (records_check.py holds
+the tables, and checks the records where pytest is not installed)."""
 
 import copy
 import dataclasses
@@ -8,82 +9,11 @@ import inspect
 import pickle
 
 import pytest
+from records_check import FIELDS, MODULES, SAMPLES, UNCOMPARED, X, Y
 
-from isocurv import curvature, domain, errors, expr, families, jet, mesh, ode, oracle, weingarten
+from isocurv import domain, errors, expr, families, jet, oracle, weingarten
 from isocurv.errors import InvalidSpecError
 
-MODULES = (curvature, domain, expr, families, jet, mesh, ode, oracle, weingarten)
-X, Y = expr.Var("x"), expr.Var("y")
-
-# Each record class with the arguments of one valid instance.
-SAMPLES = {
-    curvature.CurvaturePair: (1.0, 2.0),
-    domain.GridDomain: (-1.0, 1.0, -2.0, 2.0, 3, 4, 0.1, (0.5,)),
-    expr.Const: (1.5,),
-    expr.Var: ("x",),
-    expr.Neg: (X,),
-    expr.Add: (X, Y),
-    expr.Sub: (X, Y),
-    expr.Mul: (X, Y),
-    expr.Div: (X, Y),
-    expr.Pow: (X, 2.0),
-    expr.Exp: (X,),
-    expr.Ln: (X,),
-    expr.Sin: (X,),
-    expr.Cos: (X,),
-    expr.Sqrt: (X,),
-    expr._Token: ("num", "1", 0),
-    families.CaseA: (1.0, 2.0, 3.0, 0.0, 0.5),
-    families.CaseB: (1.0, 2.0, 3.0, 0.0, 0.5),
-    families.CaseC: (1.0, 0.0, 2.0, 0.5),
-    families.ParabolicSphere: (1.0, 0.0, 0.5, 2.0),
-    families.NonIsotropicPlane: (1.0, 2.0, 3.0),
-    families.Case31Candidate: (1.0, 2.0, 0.0, 0.5, 0.0, 1.0),
-    families.FamilyPrediction: (0.0, 1.0, weingarten.LWParams(0.0, 1.0, 2.0)),
-    jet.Jet2: (1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
-    jet.Jet3: (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0),
-    jet.Jet1: (1.0, 2.0, 3.0),
-    mesh.MeshStats: (4, 2),
-    ode.ShiftedReciprocalODE: (1.0, 2.0),
-    ode.SaturatedLinearODE: (1.0, 0.0),
-    ode.IVP: (ode.SaturatedLinearODE(1.0, 0.0), 0.0, 1.0, 0.0, 1.0, 0.1),
-    oracle.JetComparison: ({"v": 0.0}, ("dx",), 1e-6),
-    weingarten.LWParams: (0.0, 1.0, 2.0),
-    weingarten.NormalizedLW: (1.0, 2.0),
-    weingarten.ResidualReport: (4, 1.0, 0.5, 0.25, (0.0, 1.0)),
-}
-
-# The dataclass fields of each record, in order; a default follows "=".
-FIELDS = {
-    "CurvaturePair": "K H",
-    "GridDomain": "x_min=-1.0 x_max=1.0 y_min=-1.0 y_max=1.0 nx=101 ny=101 "
-    "exclusion_radius=0.0 singular_loci=()",
-    "Const": "value",
-    "Var": "name",
-    **dict.fromkeys(("Neg", "Exp", "Ln", "Sin", "Cos", "Sqrt"), "arg"),
-    **dict.fromkeys(("Add", "Sub", "Mul", "Div"), "left right"),
-    "Pow": "base exponent",
-    "_Token": "kind text offset",
-    "CaseA": "f0 m0 n0 d1 d2",
-    "CaseB": "g0 m0 n0 d3 d4",
-    "CaseC": "c8 d15 c9 d16",
-    "ParabolicSphere": "c3 d8 d9 d10",
-    "NonIsotropicPlane": "p q r",
-    "Case31Candidate": "c3 c4 d7 d8 d9 m0",
-    "FamilyPrediction": "K_expected H_expected lw",
-    "Jet2": "v dx=0.0 dy=0.0 dxx=0.0 dxy=0.0 dyy=0.0",
-    "Jet3": "v dx=0.0 dy=0.0 dxx=0.0 dxy=0.0 dyy=0.0 dxxx=0.0 dxxy=0.0 dxyy=0.0 dyyy=0.0",
-    "Jet1": "v d=0.0 dd=0.0",
-    "MeshStats": "n_vertices n_triangles",
-    "ShiftedReciprocalODE": "c3 m0",
-    "SaturatedLinearODE": "c5 d10",
-    "IVP": "rhs t0 f0 fp0 t_end step",
-    "JetComparison": "deviations flagged=() tol_rel=0.0",
-    "LWParams": "a b c",
-    "NormalizedLW": "m0 n0",
-    "ResidualReport": "n_samples max_abs mean_abs std_dev worst_point",
-}
-UNCOMPARED = {"JetComparison": {"deviations"}}
 RECORDS = list(SAMPLES)
 
 
@@ -128,6 +58,28 @@ def test_signature_and_match_args_are_the_dataclass_ones(cls):
 
     assert params(cls) == params(twin(cls))
     assert cls.__match_args__ == twin(cls).__match_args__
+
+
+def test_one_init_is_compiled_per_field_count():
+    """No record compiles its own __init__: each is the code compiled once
+    for its field count (and whether it has __post_init__), renamed."""
+    shapes = {(len(c.__match_args__), hasattr(c, "__post_init__")) for c in RECORDS}
+    for cls in RECORDS:
+        code = cls.__init__.__code__
+        assert code.co_varnames[:code.co_argcount] == ("self", *cls.__match_args__)
+        shape = (len(cls.__match_args__), hasattr(cls, "__post_init__"))
+        assert code.co_code == errors._init_code(*shape).co_code
+    info = errors._init_code.cache_info()
+    assert info.misses == info.currsize == len(shapes)
+
+
+def test_a_field_without_a_default_may_not_follow_one_with_a_default():
+    """As dataclass refuses it: the shared __init__ code takes its defaults
+    for the last fields, whichever they are."""
+    with pytest.raises(TypeError, match="Late: a field without a default follows one with"):
+        @errors.record
+        class Late(jet.Jet2):
+            extra: float
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
