@@ -22,9 +22,10 @@ parse normal form, i.e. every negative constant is spelled Neg(Const(+c)).
 The num() helper builds constants in that form.
 
 eval_jet runs the kernel that compile_jet builds once per tree from the
-jet rules. lift_1d runs the same kernel on single-variable factors and
-keeps the partials in the variable used. compile_jet at order 0 gives the
-value alone, which meshes use. The one other evaluator, the plain-float
+jet rules; the jet module loads with the first tape. lift_1d runs the same
+kernel on single-variable factors and keeps the partials in the variable
+used. compile_jet at order 0 gives the value alone; meshes run the same
+order-0 tape over a grid. The one other evaluator, the plain-float
 eval_value of the finite-difference oracle, lives in oracle.py and shares
 no code with these.
 """
@@ -33,9 +34,7 @@ from __future__ import annotations
 
 import math
 
-from . import jet as jetmath
 from .errors import MixedVariableError, ParseError, UnknownIdentifierError, record, require_finite
-from .jet import Jet1, Jet2
 
 
 @record
@@ -380,31 +379,39 @@ def to_string(e: Expr) -> str:
 # -- evaluation --------------------------------------------------------------
 
 
-def _emit(t: jetmath.Tape, e: Expr, x: jetmath.Src, y: jetmath.Src) -> jetmath.Src:
-    match e:
-        case Const(value=v):
-            # repr round-trips a finite float exactly; float() takes inf.
-            # A local, not a literal, so that only the seeds' zeros and ones fold.
-            return t.seed(t.let(repr(v) if math.isfinite(v) else f"float('{v}')"))
-        case Var(name=name):
-            return x if name == "x" else y
-        case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) | Div(left=l, right=r):
-            return _JET_RULES[type(e)](t, _emit(t, l, x, y), _emit(t, r, x, y))
-        case Pow(base=b, exponent=ex):
-            bj = _emit(t, b, x, y)
-            if ex == int(ex):
-                return jetmath.pow_int(t, bj, int(ex))
-            return jetmath.pow_real(t, bj, ex)
-        case Neg(arg=a) | Exp(arg=a) | Ln(arg=a) | Sin(arg=a) | Cos(arg=a) | Sqrt(arg=a):
-            return _JET_RULES[type(e)](t, _emit(t, a, x, y))
-        case _:
-            raise TypeError(f"not an expression node: {e!r}")
+def _emit(t: jet.Tape, e: Expr, x: jet.Src, y: jet.Src) -> jet.Src:
+    """e's jet on t from the seeds x and y, by jet's rule named for each node."""
+    from . import jet
+
+    def walk(e: Expr) -> jet.Src:
+        match e:
+            case Const(value=v):
+                # repr round-trips a finite float exactly; float() takes inf.
+                # A local, not a literal, so that only the seeds' zeros and ones fold.
+                return t.seed(t.let(repr(v) if math.isfinite(v) else f"float('{v}')"))
+            case Var(name=name):
+                return x if name == "x" else y
+            case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) | Div(left=l, right=r):
+                return getattr(jet, type(e).__name__.lower())(t, walk(l), walk(r))
+            case Pow(base=b, exponent=ex):
+                if ex == int(ex):
+                    return jet.pow_int(t, walk(b), int(ex))
+                return jet.pow_real(t, walk(b), ex)
+            case Neg(arg=a) | Exp(arg=a) | Ln(arg=a) | Sin(arg=a) | Cos(arg=a) | Sqrt(arg=a):
+                return getattr(jet, type(e).__name__.lower())(t, walk(a))
+            case _:
+                raise TypeError(f"not an expression node: {e!r}")
+
+    return walk(e)
 
 
-_JET_RULES = {
-    Add: jetmath.add, Sub: jetmath.sub, Mul: jetmath.mul, Div: jetmath.div, Neg: jetmath.neg,
-    Exp: jetmath.exp, Ln: jetmath.ln, Sin: jetmath.sin, Cos: jetmath.cos, Sqrt: jetmath.sqrt,
-}
+def tape(e: Expr, order: int = 2) -> tuple[jet.Tape, jet.Src]:
+    """A jet.Tape of the statements of e's jet at an order, over the seeds X
+    and Y, and the source of that jet."""
+    from .jet import Tape
+
+    t = Tape(order)
+    return t, _emit(t, e, t.seed("X", dx="1.0"), t.seed("Y", dy="1.0"))
 
 
 def compile_jet(e: Expr, order: int = 2, tail: str = "", **constants: float):
@@ -413,8 +420,8 @@ def compile_jet(e: Expr, order: int = 2, tail: str = "", **constants: float):
     jet of that order at (x, y), bit for bit but for the sign of a zero as
     one jet operation at a time would, raising the same errors. A tail
     (see jet.Tape.function) makes the kernel return its float instead."""
-    t = jetmath.Tape(order)
-    return t.function(_emit(t, e, t.seed("x", dx="1.0"), t.seed("y", dy="1.0")), tail, **constants)
+    t, result = tape(e, order)
+    return t.function(result, tail, **constants)
 
 
 # The tree and order evaluated last and their kernel: every caller evaluates
@@ -464,6 +471,8 @@ def lift_1d(e: Expr, t0: float) -> Jet1:
         raise MixedVariableError(
             "expression uses both x and y; a univariate lift needs one variable"
         )
+    from .jet import Jet1
+
     # The rules treat x and y alike: the partials in the variable used are its jet.
     j = _kernel(e)(t0, t0)
     return Jet1(j.v, j.dx, j.dxx) if "x" in used else Jet1(j.v, j.dy, j.dyy)

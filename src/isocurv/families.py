@@ -388,9 +388,11 @@ def spec_from_dict(data: object) -> FamilySpec:
     its own non-finite or zero fields."""
     if not isinstance(data, dict):
         raise InvalidSpecError("family spec must be a JSON object")
-    kind = data.get("kind")
-    if kind is None:
+    if "kind" not in data:
         raise InvalidSpecError("family spec needs a 'kind' field")
+    kind = data["kind"]
+    if not isinstance(kind, str):
+        raise InvalidSpecError("field 'kind' must be a string")
     cls = _KINDS.get(kind)
     if cls is None:
         raise InvalidSpecError(f"unknown family kind {kind!r}")

@@ -139,19 +139,38 @@ def _templates(order: int, op: str, mask: tuple) -> list[str]:
     return [_fold(term, mask) for term in _rules(order)[op]]
 
 
+def _reads(source: str) -> int:
+    """Which of the seeds X and Y source reads, as bits 1 and 2: a local's
+    name starts with "tXYZ"[its reads], and no other source spells X, Y or Z."""
+    both = "Z" in source
+    return (both or "X" in source) | (both or "Y" in source) << 1
+
+
+def compile_kernel(source: str, **constants: float):
+    """The function kernel that source defines, seeing what the emitted
+    statements call (math's functions, Jet2, Jet3, errors) and constants."""
+    namespace = dict(_NAMESPACE, **constants)
+    exec(compile(source, "<jet kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 class Tape:
     """The statements of one kernel, in evaluation order, at a truncation
-    order of 0 (the value alone), 2 or 3."""
+    order of 0 (the value alone), 2 or 3, and which of the seeds X and Y
+    each reads (see _reads), the letter that starts each local's name."""
 
     def __init__(self, order: int = 2) -> None:
         if order not in (0, 2, 3):
             raise ValueError(f"jet order must be 0, 2 or 3, not {order!r}")
         self.order, self.size = order, (order + 1) * (order + 2) // 2
         self.lines: list[str] = []
+        self.reads: list[int] = []
 
     def let(self, source: str) -> str:
-        name = f"t{len(self.lines)}"
+        reads = _reads(source)
+        name = f"{'tXYZ'[reads]}{len(self.lines)}"
         self.lines.append(f"{name} = {source}")
+        self.reads.append(reads)
         return name
 
     def jet(self, *components: str) -> Src:
@@ -173,30 +192,33 @@ class Tape:
         cls(text) under it; the repr of the atom value ends text if given."""
         message = f'f"{text} {{{value}!r}}"' if value else f'"{text}"'
         self.lines.append(f"{head}:\n    raise errors.{cls}({message}) from None")
+        self.reads.append(_reads(head + value))
 
     def trap(self, text: str, value: str, *sources: str) -> list[str]:
         """Let each source in turn, raising NumericOverflowError(text value)
         in place of an OverflowError."""
-        names = [f"t{len(self.lines)}_{i}" for i in range(len(sources))]
+        names = [f"{'tXYZ'[_reads(''.join(sources))]}{len(self.lines)}_{i}" for i in range(len(sources))]
         lets = "".join(f"\n    {n} = {s}" for n, s in zip(names, sources))
         self.guard(f"try:{lets}\nexcept OverflowError", "NumericOverflowError", text, value)
         return names
 
-    def function(self, result: Src, tail: str = "", **constants: float):
-        """Compile into kernel(x, y) -> Jet2 or Jet3, or the bare float at
-        order 0, refusing a non-finite result. A tail, one formula over the
-        result's atoms by field name ({dxx}) and the constants by name,
-        makes the kernel return its float instead, after the same refusal."""
+    def refuse(self, result: Src) -> None:
+        """Guard against a non-finite component of result."""
         finite = " or ".join(f"not isfinite({c})" for c in result if c.isidentifier())
         if finite:
             self.guard(f"if {finite}", "NumericOverflowError", "jet evaluation produced a non-finite value")
+
+    def function(self, result: Src, tail: str = "", **constants: float):
+        """Compile into kernel(X, Y) -> Jet2 or Jet3, or the bare float at
+        order 0, refusing a non-finite result. A tail, one formula over the
+        result's atoms by field name ({dxx}) and the constants by name,
+        makes the kernel return its float instead, after the same refusal."""
+        self.refuse(result)
         returned = f"Jet{self.order}({', '.join(result)})" if self.order else result[0]
         fields = dict(zip(Jet3.__match_args__, result))
         self.lines.append(f"return {tail.format_map(fields) if tail else returned}")
         body = "\n".join(self.lines).replace("\n", "\n    ")
-        namespace = dict(_NAMESPACE, **constants)
-        exec(compile(f"def kernel(x, y):\n    {body}", "<jet kernel>", "exec"), namespace)
-        return namespace["kernel"]
+        return compile_kernel(f"def kernel(X, Y):\n    {body}", **constants)
 
 
 def add(t: Tape, a: Src, b: Src) -> Src:

@@ -6,13 +6,41 @@ from array import array
 
 from .domain import GridDomain
 from .errors import IsocurvError, record
-from .expr import Expr, compile_jet
+from .expr import Expr, compile_jet, tape
+from .jet import compile_kernel
 
 
 @record
 class MeshStats:
     n_vertices: int
     n_triangles: int
+
+
+def _row_kernel(surface: Expr):
+    """kernel(xs, ys, out), which appends compile_jet(surface, 0)'s value at
+    each (x, y), x fastest, from the same statements in the same order: those
+    that read neither seed run once, x alone once per column (keeping what a
+    node reads), y alone once per row and the rest at each node (loop-
+    invariant code motion, Aho et al., Compilers, 2nd ed., §9.5). A guard so
+    may fail first past the first failing node in scan order: each raises a
+    bare ArithmeticError."""
+    t, result = tape(surface, 0)
+    t.refuse(result)
+    blocks = ["", "", "", ""]
+    for reads, line in zip(t.reads, t.lines):
+        head = line.partition(" raise ")[0]
+        indent = "\n" + "    " * (1, 2, 2, 3)[reads]
+        blocks[reads] += indent + (head + " raise ArithmeticError" if head != line else line).replace("\n", indent)
+    # The seed X and the locals X<n> and X<n>_<i> that a node reads.
+    names = ("X" + p[: len(p) - len(p.lstrip("0123456789_"))] for p in (blocks[3] + result[0]).split("X")[1:])
+    kept = f"({', '.join(dict.fromkeys(names))})"
+    return compile_kernel(f"""def kernel(xs, ys, out):{blocks[0]}
+    columns = []
+    for X in xs:{blocks[1]}
+        columns.append({kept})
+    for Y in ys:{blocks[2]}
+        for {kept} in columns:{blocks[3]}
+            out.append({result[0]})""")
 
 
 def build_mesh(surface: Expr, domain: GridDomain) -> tuple[array, list[float], list[int]]:
@@ -25,12 +53,17 @@ def build_mesh(surface: Expr, domain: GridDomain) -> tuple[array, list[float], l
     lower row starts at vertex r has the 1-based faces (r+k+1, r+k+2,
     r+m+k+1) and (r+k+2, r+m+k+2, r+m+k+1). Cells touching an excluded node
     are not kept, so exclusion gaps stay open. z is the value of the
-    surface's order-0 kernel; an error at a node is re-raised with the node
-    named."""
-    value = compile_jet(surface, 0)
+    surface's order-0 kernel, by its row kernel; if that fails, node by node
+    the first error in scan order is re-raised with the node named."""
     columns = domain.columns()
     xs = [x for _, x in columns]
+    cells = [k for k in range(len(columns) - 1) if columns[k + 1][0] == columns[k][0] + 1]
     heights = array("d")
+    try:
+        _row_kernel(surface)(xs, domain.ys(), heights)
+        return heights, xs, cells
+    except ArithmeticError:
+        value, heights = compile_jet(surface, 0), array("d")
     try:
         for y in domain.ys():
             for x in xs:
@@ -38,7 +71,6 @@ def build_mesh(surface: Expr, domain: GridDomain) -> tuple[array, list[float], l
     except (IsocurvError, ArithmeticError) as err:
         err.args = (f"{err} at (x, y) = ({x!r}, {y!r})",)
         raise
-    cells = [k for k in range(len(columns) - 1) if columns[k + 1][0] == columns[k][0] + 1]
     return heights, xs, cells
 
 

@@ -703,6 +703,17 @@ def test_verify_family_unknown_kind(capsys, tmp_path):
     assert "unknown family kind" in err
 
 
+@pytest.mark.parametrize("kind", [["CaseA"], {"name": "CaseA"}, None, 1.0, True])
+@pytest.mark.parametrize("command", ["verify-family", "mesh"])
+def test_a_kind_that_is_not_a_string_is_refused_by_name(capsys, tmp_path, command, kind):
+    # A list or an object once reached the kinds table and raised an
+    # unhashable-type TypeError; null once read as a missing field.
+    spec_path = write_spec(tmp_path, "k.json", {**CASE_A, "kind": kind})
+    extra = ["--out", str(tmp_path / "m.obj")] if command == "mesh" else []
+    code, report, err = run_cli(capsys, command, "--spec", spec_path, *extra)
+    assert (code, report, err) == (2, None, "error: field 'kind' must be a string\n")
+
+
 def test_verify_family_missing_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "verify-family", "--spec", str(tmp_path / "nope.json")

@@ -75,7 +75,10 @@ NESTS = st.builds(
 SURFACES = (
     st.sampled_from(
         ["x*y", "x^2+y^2", "-x*y", "exp(0.3*x)*sin(y)+ln(2+x^2)/sqrt(3+y^2)", "1/x", "ln(x)",
-         "sqrt(x*x+y*y)", "x^0.5", "1e200*x*y", "x^-2", "2*x+3*y", "7"]
+         "sqrt(x*x+y*y)", "x^0.5", "1e200*x*y", "x^-2", "2*x+3*y", "7",
+         # Guards that a mesh's row kernel runs once per column, once per
+         # row, once, for x and y at one node, and at a mixed node.
+         "sqrt(x)+y", "x+ln(y)", "ln(-1)+x*y", "x^-1+y^-1", "exp(1000*x*y)", "1/(x*y)"]
     ),
     # With number texts at the edges of the tokenizer's number form.
     st.one_of(st.sampled_from(["", "x +", "2x", "x^y", "foo(x)", "(x", "x\u00b2", "1.", ".5", "1e",
@@ -109,6 +112,7 @@ def _argv(draw, tmp_path) -> list[str]:
         return draw(st.sampled_from([
             json.dumps(fields),  # NaN and Infinity are written as JS literals
             json.dumps({**fields, "kind": "CaseZ"}),
+            json.dumps({**fields, "kind": [cls.__name__]}),
             json.dumps({**fields, "extra": 1.0}),
             json.dumps([fields]),
             "{not json",

@@ -274,6 +274,19 @@ def test_structural_zeros_are_positive(surface, zeros, order):
             assert (value, math.copysign(1.0, value)) == (0.0, 1.0), name
 
 
+def test_a_tape_knows_which_seeds_each_statement_reads():
+    """reads holds 0 for neither seed, 1 for x alone, 2 for y alone and 3 for
+    both, guards and traps included, and each local is named t, X, Y or Z
+    by the same rule; a constant reads neither."""
+    t = Tape(0)
+    result = _emit(t, parse("ln(x)*2+exp(y)+x*y+3"), t.seed("X"), t.seed("Y"))
+    assert result == ("Z9",)
+    assert t.reads == [1, 1, 0, 1, 2, 3, 3, 3, 0, 3]
+    heads = [line.split("\n")[0] for line in t.lines]
+    assert [h.split(" = ")[0] for h in heads if " = " in h] == ["X1", "t2", "X3", "Z5", "Z6", "Z7", "t8", "Z9"]
+    assert heads[4:6] == ["try:", "Z5 = X3 + Y4_0"] and "Y4_0 = exp(Y)" in t.lines[4]
+
+
 @pytest.mark.parametrize("order", [0, 2, 3])
 def test_emitted_kernel_has_no_zero_or_one_operands(order):
     e = parse(MIXED)

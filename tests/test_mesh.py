@@ -4,15 +4,21 @@ from array import array
 
 import pytest
 
+import jet_golden
 from isocurv import (
     EmptyDomainError,
     GridDomain,
+    IsocurvError,
     MeshStats,
+    build,
     build_mesh,
     eval_value,
     parse,
+    spec_from_dict,
+    to_string,
     write_obj,
 )
+from isocurv.expr import compile_jet
 
 
 def _vertices(domain, heights):
@@ -257,3 +263,99 @@ def test_writer_memory_is_bounded_by_a_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert written - built < 1 << 20
+
+
+# -- the row kernel against the per-node kernel ---------------------------------
+
+# The benchmark's surface templates at fixed coefficients, the acceptance
+# criteria's surfaces and the family surfaces of tests/test_pins.py.
+_TEMPLATES = (
+    "exp(0.42*x)*sin(1.38*y)+ln(1.64+x^2)/sqrt(2.73+y^2)", "0.56*x^2+0.62*y^2", "1.1*x^3+0.71*y^3",
+    "(1.04*x+0.28)*(1.14*y+0.85)", "1.42*exp(0.96*x*y)+0.6*cos(1.47*x)",
+    "1.18*sin(1.12*x)*cos(0.96*y)+0.44*x^2*y", "sqrt(1.77+x^2)*sqrt(2.53+y^2)+0.97*x*y",
+    "0.24*x^4+0.74*x^2*y^2+0.41*y^4", "ln(1.31+x^2)*exp(0.39*y)-0.36*x*y^3",
+    "(2*x+1)*(3*y+4)", "exp(x)*sin(y)", "exp(x)*exp(y)",
+)
+_FAMILIES = (
+    {"kind": "CaseA", "f0": 1.0, "m0": 1.0, "n0": 2.0, "d1": 0.0, "d2": 0.0},
+    {"kind": "Case31Candidate", "c3": 0.56, "c4": 1.99, "d7": 0.36, "d8": 1.04, "d9": -0.2191, "m0": 1.65},
+)
+# With and without an excluded column, over a span that holds no zero, and
+# over one whose coordinates overflow many trees.
+_DOMAINS = (
+    GridDomain(nx=7, ny=5),
+    GridDomain(nx=7, ny=5, exclusion_radius=0.1, singular_loci=(0.0,)),
+    GridDomain(x_min=0.25, x_max=3.0, y_min=-2.0, y_max=40.0, nx=4, ny=6),
+    GridDomain(x_min=-1e160, x_max=1e160, y_min=-3.0, y_max=1e300, nx=5, ny=4),
+)
+
+
+def _node_by_node(surface, domain):
+    """The heights of the order-0 kernel called at each node in scan order,
+    or the class and message of its first error with the node named, as
+    build_mesh once computed them."""
+    value = compile_jet(surface, 0)
+    heights = array("d")
+    xs = [x for _, x in domain.columns()]
+    for y in domain.ys():
+        for x in xs:
+            try:
+                heights.append(value(x, y))
+            except (IsocurvError, ArithmeticError) as err:
+                return type(err), f"{err} at (x, y) = ({x!r}, {y!r})"
+    return heights.tobytes()
+
+
+def _built(surface, domain):
+    try:
+        return build_mesh(surface, domain)[0].tobytes()
+    except (IsocurvError, ArithmeticError) as err:
+        return type(err), str(err)
+
+
+def _trees():
+    yield from map(parse, _TEMPLATES)
+    yield from (build(spec_from_dict(spec)) for spec in _FAMILIES)
+    yield from map(parse, jet_golden.SURFACES)
+    # Every 40th seeded tree of the golden fixture (each has five cases).
+    seeded = 5 * jet_golden.N_TREES
+    yield from (e for i, (_, e, _) in enumerate(jet_golden.cases()) if i % 200 == 0 and i < seeded)
+
+
+def test_row_kernel_heights_and_errors_equal_the_per_node_kernels():
+    outcomes = {True: 0, False: 0}
+    for tree in _trees():
+        for domain in _DOMAINS:
+            want = _node_by_node(tree, domain)
+            assert _built(tree, domain) == want, to_string(tree)
+            outcomes[type(want) is bytes] += 1
+    # Both heights and errors are compared, many times each.
+    assert min(outcomes.values()) > 50, outcomes
+
+
+@pytest.mark.parametrize("surface, error", [
+    # A guard on x alone fails first in its column, met before any row.
+    ("ln(x)+y", "EvaluationDomainError: ln of non-positive value -1.0 at (x, y) = (-1.0, -1.0)"),
+    ("ln(0.5-x)*y", "EvaluationDomainError: ln of non-positive value 0.0 at (x, y) = (0.5, -1.0)"),
+    # On y alone, in the row loop before a node.
+    ("sqrt(y)+x", "EvaluationDomainError: sqrt of non-positive value -1.0 at (x, y) = (-1.0, -1.0)"),
+    ("x/(y-0.5)", "DivisionByZeroError: division by a quantity with zero value at (x, y) = (-1.0, 0.5)"),
+    # On a constant, once before every loop.
+    ("ln(-1)+x*y", "EvaluationDomainError: ln of non-positive value -1.0 at (x, y) = (-1.0, -1.0)"),
+    # x's and y's guards both fail at the first node: the tape's order names y's,
+    # though the row kernel meets x's column first.
+    ("sqrt(y+1)+ln(x+1)", "EvaluationDomainError: sqrt of non-positive value 0.0 at (x, y) = (-1.0, -1.0)"),
+    # At a mixed node: a guard, an overflow trap and the finiteness check.
+    ("1/(x*y)", "DivisionByZeroError: division by a quantity with zero value at (x, y) = (0.0, -1.0)"),
+    ("x^-1+y^-1", "DivisionByZeroError: zero base raised to a negative power at (x, y) = (0.0, -1.0)"),
+    ("exp(1000*x*y)", "NumericOverflowError: exp overflow at argument 1000.0 at (x, y) = (-1.0, -1.0)"),
+    ("1e200*x*y*1e200", "NumericOverflowError: jet evaluation produced a non-finite value "
+                        "at (x, y) = (-1.0, -1.0)"),
+])
+def test_row_kernel_errors_name_the_per_node_kernels_first_node(surface, error):
+    tree, domain = parse(surface), GridDomain(nx=5, ny=5)
+    cls, message = _node_by_node(tree, domain)
+    assert f"{cls.__name__}: {message}" == error
+    with pytest.raises(cls) as info:
+        build_mesh(tree, domain)
+    assert str(info.value) == message

@@ -216,3 +216,15 @@ def test_only_a_spec_file_loads_json_and_nothing_loads_re(tmp_path):
     for argv, modules in runs.items():
         loaded = loaded_modules(run_main(argv.split()), "-S", env=env, packages=("json", "re"))
         assert {m.split(".")[0] for m in loaded} == modules, argv
+
+
+def test_expr_loads_jet_only_to_compile_a_kernel(tmp_path):
+    """A tree is parsed and printed without the jet rules, and a Case31
+    verify-family, which compiles no kernel, runs without them."""
+    assert loaded_modules("import isocurv.expr") == {"isocurv", "isocurv.errors", "isocurv.expr"}
+    spec = tmp_path / "case31.json"
+    spec.write_text('{"kind": "Case31Candidate", "c3": 1, "c4": 1, "d7": 0, "d8": 0, "d9": 0, "m0": 1}')
+    env = {**os.environ, "PYTHONPATH": str(Path(isocurv.__file__).parents[1])}
+    loaded = loaded_modules(run_main(["verify-family", "--spec", str(spec), "--grid", "5,3"]), "-S", env=env)
+    modules = ("cli", "errors", "expr", "domain", "families", "weingarten")
+    assert loaded == {"isocurv", *(f"isocurv.{m}" for m in modules)}
