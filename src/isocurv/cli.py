@@ -139,11 +139,9 @@ def cmd_scan(args) -> tuple:
         if args.a is None or args.b is None or args.c is None:
             raise _UsageError("lw residual needs --a, --b, and --c")
         lw = LWParams(args.a, args.b, args.c)
-        params["lw"] = {"a": lw.a, "b": lw.b, "c": lw.c}
+        params["lw"] = asdict(lw)
         if lw.b != 0.0:
-            norm = normalize(lw)
-            params["lw"]["m0"] = norm.m0
-            params["lw"]["n0"] = norm.n0
+            params["lw"].update(asdict(normalize(lw)))
         fn = lw_residual_fn(lw)
     elif args.residual == "euler":
         fn = euler_residual_fn()
@@ -151,7 +149,7 @@ def cmd_scan(args) -> tuple:
         fn = jacobian_residual_fn()
     report = scan_grid(surface, domain, fn)
     passed = report.max_abs <= tol
-    return to_string(surface), params, report.to_dict(), passed, {args.residual: tol}
+    return to_string(surface), params, asdict(report), passed, {args.residual: tol}
 
 
 def _load_spec(path: str, params: dict):
@@ -195,14 +193,14 @@ def cmd_verify_family(args) -> tuple:
         noise = case31_rounding_bound(spec, args.n0, xs)
         passed = report.n_samples >= 3 and report.std_dev > noise
         params["n0"] = args.n0
-        result = report.to_dict()
+        result = asdict(report)
         result["check"] = "contradiction_scan"
         tolerances = {"min_samples": 3}
     else:
         prediction = predict(spec)
         report = verify_family(spec, domain)
         passed = report.max_abs <= args.tol
-        result = report.to_dict()
+        result = asdict(report)
         result["check"] = "constant_invariants"
         result["predicted"] = {"K": prediction.K_expected, "H": prediction.H_expected}
         tolerances = {"family": args.tol}
@@ -248,6 +246,8 @@ def cmd_ode(args) -> tuple:
     passed: bool | None = None
     if oracle is not None:
         max_dev = max(abs(f - oracle(t)) for t, f, _ in trajectory)
+        if not math.isfinite(max_dev):  # refused before the CSV is opened
+            raise ValueError(f"result.oracle_max_dev = {max_dev!r} is not finite")
         passed = max_dev <= args.tol
     if args.out:
         # The bytes csv.writer writes: CRLF rows of repr floats, unquoted.
@@ -391,31 +391,17 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
     return SimpleNamespace(command=command, **values)
 
 
-def _non_finite(value, path: str) -> str | None:
-    """The message "path = value is not finite" for the first float in
-    value, depth first, that is not finite; path names it by keys and
-    indices."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else f"{path} = {value!r} is not finite"
-    if isinstance(value, dict):
-        items = ((f"{path}.{k}" if path else k, v) for k, v in value.items())
-    elif isinstance(value, (list, tuple)):
-        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
-    else:
-        return None
-    return next(filter(None, (_non_finite(v, p) for p, v in items)), None)
-
-
 # json.dumps's escapes of the ASCII characters that it does not write as
 # themselves, by code point.
 _ESCAPES = {**{n: f"\\u{n:04x}" for n in (*range(32), 127)},
             **{ord(c): "\\" + e for c, e in zip('"\\\n\r\t\b\f', '"\\nrtbf')}}
 
 
-def _dumps(value, indent: str = "\n") -> str:
+def _dumps(value, indent: str = "\n", path: str = "") -> str:
     """The text of json.dumps(value, indent=2, allow_nan=False) for what a
     report holds: dicts with str keys, lists, tuples, str, int, float, bool
-    and None. A float that is not finite raises ValueError."""
+    and None. The first float written that is not finite raises ValueError
+    "path = value is not finite", path naming it by keys and indices."""
     if isinstance(value, str):
         text = value.translate(_ESCAPES)
         if not text.isascii():  # each UTF-16 code unit of the rest as \uXXXX
@@ -428,13 +414,14 @@ def _dumps(value, indent: str = "\n") -> str:
         return int.__repr__(value)
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise ValueError("RFC 8259 has no NaN or Infinity")
+            raise ValueError(f"{path} = {value!r} is not finite")
         return float.__repr__(value)
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [f"{_dumps(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+        items = [f"{_dumps(k)}: {_dumps(v, inner, f'{path}.{k}' if path else k)}"
+                 for k, v in value.items()]
     else:
-        items = [_dumps(v, inner) for v in value]
+        items = [_dumps(v, inner, f"{path}[{i}]") for i, v in enumerate(value)]
     start, end = "{}" if isinstance(value, dict) else "[]"
     return start + (inner + ("," + inner).join(items) + indent if items else "") + end
 
@@ -467,10 +454,7 @@ def main(argv: list[str] | None = None) -> int:
                 "pass": passed,
                 "tolerances": tolerances,
             }
-            try:
-                text = _dumps(report) + "\n"
-            except ValueError:  # a float that is not finite
-                raise ValueError(_non_finite(report, "")) from None
+            text = _dumps(report) + "\n"
             code = 1 if passed is False else 0
         if sys.stdout is None:  # the process started with standard output closed
             raise OSError("standard output is closed")

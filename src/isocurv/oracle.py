@@ -152,6 +152,16 @@ H_FIRST = 1e-4
 H_SECOND = 1e-3
 
 
+def _first(g: Callable[[float], float], h: float) -> float:
+    """g'(0) by the five-point central stencil of step h; g is f along an axis."""
+    return (-g(2 * h) + 8 * g(h) - 8 * g(-h) + g(-2 * h)) / (12 * h)
+
+
+def _second(g: Callable[[float], float], v: float, h: float) -> float:
+    """g''(0) by the five-point central stencil of step h, where g(0) = v."""
+    return (-g(2 * h) + 16 * g(h) - 30 * v + 16 * g(-h) - g(-2 * h)) / (12 * h * h)
+
+
 def fd_jet(s: Expr, p: tuple[float, float]) -> Jet2:
     """Numerical jet of s at p.
 
@@ -166,27 +176,15 @@ def fd_jet(s: Expr, p: tuple[float, float]) -> Jet2:
     def f(px: float, py: float) -> float:
         return eval_value(s, (px, py))
 
+    def along_x(d: float) -> float:
+        return f(x + d, y)
+
+    def along_y(d: float) -> float:
+        return f(x, y + d)
+
     v = f(x, y)
-    dx = (-f(x + 2 * h1, y) + 8 * f(x + h1, y) - 8 * f(x - h1, y) + f(x - 2 * h1, y)) / (
-        12 * h1
-    )
-    dy = (-f(x, y + 2 * h1) + 8 * f(x, y + h1) - 8 * f(x, y - h1) + f(x, y - 2 * h1)) / (
-        12 * h1
-    )
-    dxx = (
-        -f(x + 2 * h2, y)
-        + 16 * f(x + h2, y)
-        - 30 * v
-        + 16 * f(x - h2, y)
-        - f(x - 2 * h2, y)
-    ) / (12 * h2 * h2)
-    dyy = (
-        -f(x, y + 2 * h2)
-        + 16 * f(x, y + h2)
-        - 30 * v
-        + 16 * f(x, y - h2)
-        - f(x, y - 2 * h2)
-    ) / (12 * h2 * h2)
+    dx, dy = _first(along_x, h1), _first(along_y, h1)
+    dxx, dyy = _second(along_x, v, h2), _second(along_y, v, h2)
     dxy = (
         f(x + h2, y + h2) - f(x + h2, y - h2) - f(x - h2, y + h2) + f(x - h2, y - h2)
     ) / (4 * h2 * h2)

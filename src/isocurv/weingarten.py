@@ -25,7 +25,7 @@ from collections.abc import Callable, Sequence
 
 from .domain import GridDomain
 from .errors import (DegenerateWeingartenError, EmptyDomainError, IsocurvError,
-                     NumericOverflowError, asdict, record, require_finite)
+                     NumericOverflowError, record, require_finite)
 from .expr import Expr, compile_jet, eval_jet
 
 
@@ -124,9 +124,6 @@ class ResidualReport:
     mean_abs: float
     std_dev: float
     worst_point: tuple[float, float]
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "worst_point": list(self.worst_point)}
 
 
 def summarize(values: Sequence[float], points) -> ResidualReport:

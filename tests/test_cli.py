@@ -946,6 +946,23 @@ def test_ode_overflowing_closed_form_is_named_before_the_csv(capsys, tmp_path, s
 @pytest.mark.parametrize(
     "argv",
     [
+        # 1/(c4 t + d9) overflows, and the closed form is -inf.
+        "--c3 1 --m0 1 --f0 1 --fp0 0 --t0 0.1 --t-end 1 --step 0.1 --oracle-c4 1e-310 --oracle-d9 0",
+        # f - oracle overflows.
+        "--c3 0.5 --m0 1e308 --f0 1e308 --fp0 0 --t-end 1 --step 0.5 --oracle-c4 1 --oracle-d9 1",
+    ],
+)
+def test_ode_non_finite_oracle_deviation_is_refused_before_the_csv(capsys, tmp_path, argv):
+    out = tmp_path / "traj.csv"
+    code, report, err = run_cli(capsys, "ode", "--ode", "shifted-reciprocal", *argv.split(),
+                                "--out", str(out))
+    assert (code, report, err) == (2, None, "error: result.oracle_max_dev = inf is not finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         "--ode saturated-linear --c5=-3.5 --d10 0.25 --f0 0.7 --fp0=-1e-05 --t0=-0.5 --t-end 1.5 --step 0.01",
         "--ode shifted-reciprocal --c3 1 --m0 1 --f0 -1 --fp0 0.25 --t-end 2 --step 0.001",
     ],

@@ -2,14 +2,15 @@
 
 cli.main runs in-process on seeded argument lists for every subcommand,
 with values that include NaN, infinities, texts that overflow to them,
--0.0, 1e308 and the subnormal 1e-320, lw coefficients whose products with K and H overflow,
-domain axes whose span overflows, grids and step counts either small or
-above the caps, surfaces and family specs that are invalid or nest too
-deeply, and flags that are unknown, lack their value or ask for help.
-Every run must exit 0, 1 or 2 and let nothing escape; on 0 it writes
-strict JSON or, for -h, the help; on 1 strict JSON; on 2 nothing to
-stdout and one error line, which names its cause rather than repeat a
-bare Python error. Each run ends within a generous time bound.
+-0.0, 1e308 and the subnormals 1e-310 and 1e-320, lw coefficients whose
+products with K and H overflow, domain axes whose span overflows, grids
+and step counts either small or above the caps, surfaces and family specs
+that are invalid or nest too deeply, and flags that are unknown, lack
+their value or ask for help. Every run must exit 0, 1 or 2 and let
+nothing escape; on 0 it writes strict JSON or, for -h, the help; on 1
+strict JSON; on 2 nothing to stdout, no --out file and one error line,
+which names its cause rather than repeat a bare Python error. Each run
+ends within a generous time bound.
 """
 
 import contextlib
@@ -30,12 +31,13 @@ TIME_BOUND_S = 10.0
 
 # Each strategy pair is the plain values, which mostly run to a verdict,
 # and the odd ones, which arithmetic, the checks and the caps trip on.
-# The texts 1e309 and -1e999 read as infinities; quotients by 1e-320
-# overflow, and its products underflow to zero.
+# The texts 1e309 and -1e999 read as infinities; quotients by the
+# subnormals 1e-310 and 1e-320 overflow (as ode's --oracle-c4, 1e-310 takes
+# the closed form to its pole), and products by 1e-320 underflow to zero.
 NUMBERS = (
     st.sampled_from([-1.0, 0.25, 0.5, 1.0, 2.0, 3.0]),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308, 1e-320, "1e309",
-                     "-1e999"]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308, 1e-310, 1e-320,
+                     "1e309", "-1e999"]),
 )
 # Relation coefficients: with the plain ones, finite ones whose products
 # with K and H overflow in the lw residual.
@@ -186,6 +188,10 @@ def _refuse_constant(name: str):
 @given(data=st.data())
 def test_every_run_keeps_the_exit_code_contract(tmp_path, data):
     argv = data.draw(_argv(tmp_path), label="argv")
+    # The examples share tmp_path: a file left by an earlier run is no evidence.
+    files = [tmp_path / "trajectory.csv", tmp_path / "surface.obj"]
+    for path in files:
+        path.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -195,6 +201,7 @@ def test_every_run_keeps_the_exit_code_contract(tmp_path, data):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert not any(text in err.getvalue() for text in BARE), err.getvalue()
+        assert not any(path.exists() for path in files), argv
     elif {"-h", "--help"} & set(argv):
         assert (code, err.getvalue()) == (0, "")
         assert out.getvalue().startswith(f"usage: isocurv {argv[0]} ")
