@@ -29,9 +29,8 @@ _EXPORTS = {
         "StepTooLargeError", "UnknownIdentifierError",
     ),
     "expr": (
-        "Add", "Const", "Cos", "Div", "Exp", "Expr", "Ln", "Mul", "Neg", "Pow",
-        "Sin", "Sqrt", "Sub", "Var", "eval_jet", "lift_1d", "num", "parse",
-        "to_string", "variables",
+        "BinOp", "Call", "Const", "Expr", "Neg", "Pow", "Var", "eval_jet",
+        "lift_1d", "num", "parse", "to_string", "variables",
     ),
     "families": (
         "Case31Candidate", "CaseA", "CaseB", "CaseC", "FamilyPrediction",

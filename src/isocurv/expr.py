@@ -14,9 +14,11 @@ FUNC is one of exp, ln, sin, cos, sqrt. Exponents must reduce to a numeric
 constant at parse time (they are folded right-associatively), so a Pow node
 always stores a plain float; x^2^3 means x^8 and x^y is rejected.
 
-Var holds x or y, Pow a finite exponent and Const any float but NaN (1e999
-parses to inf); each refuses anything else with a ValueError naming the
-field. to_string emits minimal parentheses while preserving structure
+A tree has six node classes, as Python's ast splits them: Const, Var, Neg,
+BinOp (op one of + - * /), Pow and Call (name a FUNC). Var holds x or y,
+Pow a finite exponent and Const any float but NaN (1e999 parses to inf);
+each, and BinOp and Call, refuses anything else with a ValueError naming
+the field. to_string emits minimal parentheses while preserving structure
 exactly: parse(to_string(e)) reproduces e node for node for every tree in
 parse normal form, i.e. every negative constant is spelled Neg(Const(+c)).
 The num() helper builds constants in that form.
@@ -61,27 +63,14 @@ class Neg:
 
 
 @record
-class Add:
+class BinOp:
+    op: str
     left: "Expr"
     right: "Expr"
 
-
-@record
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@record
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@record
-class Div:
-    left: "Expr"
-    right: "Expr"
+    def __post_init__(self):
+        if self.op not in _LEVEL:
+            raise ValueError("op must be one of '+', '-', '*', '/'")
 
 
 @record
@@ -94,42 +83,26 @@ class Pow:
 
 
 @record
-class Exp:
+class Call:
+    name: str
     arg: "Expr"
 
-
-@record
-class Ln:
-    arg: "Expr"
-
-
-@record
-class Sin:
-    arg: "Expr"
+    def __post_init__(self):
+        if self.name not in _FUNCS:
+            raise ValueError("name must be one of 'exp', 'ln', 'sin', 'cos', 'sqrt'")
 
 
-@record
-class Cos:
-    arg: "Expr"
+Expr = Const | Var | Neg | BinOp | Pow | Call
 
+# The functions a Call may name, each also the name of its jet rule.
+_FUNCS = ("exp", "ln", "sin", "cos", "sqrt")
 
-@record
-class Sqrt:
-    arg: "Expr"
-
-
-Expr = Const | Var | Neg | Add | Sub | Mul | Div | Pow | Exp | Ln | Sin | Cos | Sqrt
-
-_FUNCS = {"exp": Exp, "ln": Ln, "sin": Sin, "cos": Cos, "sqrt": Sqrt}
-
-# The binary operators by symbol, and the precedence level of each operator
-# class: the parser chains operators level by level, and the printer
-# parenthesizes a subtree whose level is below the one its place demands.
-# Atoms and function calls, absent here, are above every level.
-_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
-_LEVEL = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
-_SYMBOL = {cls: symbol for symbol, cls in _BINARY.items()}
-_ATOM = 5
+# The precedence level of each binary operator, then those of unary minus,
+# a power, and an atom or call: the parser chains operators level by level,
+# and the printer parenthesizes a subtree whose level is below the one its
+# place demands.
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2}
+_NEG, _POW, _ATOM = 3, 4, 5
 
 # The most nesting levels parse accepts (see _Parser), so that every tree it
 # gives can be printed, compared, hashed and compiled.
@@ -242,16 +215,16 @@ class _Parser:
             raise ParseError("expression nests too deeply", tok.offset)
         return levels + 1
 
-    def parse_binary(self, depth: int, level: int = _LEVEL[Add]) -> tuple[Expr, int]:
+    def parse_binary(self, depth: int, level: int = _LEVEL["+"]) -> tuple[Expr, int]:
         """A left-associative chain of the binary operators of one level,
         whose operands are chains of the next level, or unaries past the last."""
-        if level > _LEVEL[Mul]:
+        if level > _LEVEL["*"]:
             return self.parse_unary(depth)
         node, height = self.parse_binary(depth, level + 1)
-        while _LEVEL.get(_BINARY.get(self.peek().kind)) == level:
+        while _LEVEL.get(self.peek().kind) == level:
             op = self.advance()
             rhs, rhs_height = self.parse_binary(depth, level + 1)
-            node, height = _BINARY[op.kind](node, rhs), self.nest(max(height, rhs_height), op)
+            node, height = BinOp(op.kind, node, rhs), self.nest(max(height, rhs_height), op)
         return node, height
 
     def parse_unary(self, depth: int) -> tuple[Expr, int]:
@@ -310,15 +283,14 @@ class _Parser:
             self.advance()
             if tok.text in ("x", "y"):
                 return Var(tok.text), 0
-            ctor = _FUNCS.get(tok.text)
-            if ctor is None:
+            if tok.text not in _FUNCS:
                 raise UnknownIdentifierError(
                     f"unknown identifier {tok.text!r}", tok.offset
                 )
             self.expect("(", f"'(' after {tok.text}")
             arg, height = self.parse_binary(self.nest(depth, tok))
             self.expect(")", "')'")
-            return ctor(arg), self.nest(height, tok)
+            return Call(tok.text, arg), self.nest(height, tok)
         if tok.kind == "(":
             self.advance()
             node, height = self.parse_binary(self.nest(depth, tok))
@@ -350,24 +322,26 @@ def _fmt_float(v: float) -> str:
 
 
 def _print(e: Expr, min_level: int) -> str:
+    level = _ATOM
     match e:
         case Const(value=v):
             body = _fmt_float(v)
         case Var(name=name):
             body = name
         case Neg(arg=a):
-            body = "-" + _print(a, _LEVEL[Neg])
-        case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) | Div(left=l, right=r):
-            level = _LEVEL[type(e)]
-            body = _print(l, level) + _SYMBOL[type(e)] + _print(r, level + 1)
+            level = _NEG
+            body = "-" + _print(a, level)
+        case BinOp(op=op, left=l, right=r):
+            level = _LEVEL[op]
+            body = _print(l, level) + op + _print(r, level + 1)
         case Pow(base=b, exponent=ex):
+            level = _POW
             body = _print(b, _ATOM) + "^" + _fmt_float(ex)
-        case Exp(arg=a) | Ln(arg=a) | Sin(arg=a) | Cos(arg=a) | Sqrt(arg=a):
-            # Each function's class is its name capitalized (see _FUNCS).
-            body = f"{type(e).__name__.lower()}({_print(a, 0)})"
+        case Call(name=name, arg=a):
+            body = f"{name}({_print(a, 0)})"
         case _:
             raise TypeError(f"not an expression node: {e!r}")
-    if _LEVEL.get(type(e), _ATOM) < min_level:
+    if level < min_level:
         return f"({body})"
     return body
 
@@ -391,14 +365,16 @@ def _emit(t: jet.Tape, e: Expr, x: jet.Src, y: jet.Src) -> jet.Src:
                 return t.seed(t.let(repr(v) if math.isfinite(v) else f"float('{v}')"))
             case Var(name=name):
                 return x if name == "x" else y
-            case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) | Div(left=l, right=r):
-                return getattr(jet, type(e).__name__.lower())(t, walk(l), walk(r))
+            case BinOp(op=op, left=l, right=r):
+                return jet.BINARY[op](t, walk(l), walk(r))
             case Pow(base=b, exponent=ex):
                 if ex == int(ex):
                     return jet.pow_int(t, walk(b), int(ex))
                 return jet.pow_real(t, walk(b), ex)
-            case Neg(arg=a) | Exp(arg=a) | Ln(arg=a) | Sin(arg=a) | Cos(arg=a) | Sqrt(arg=a):
-                return getattr(jet, type(e).__name__.lower())(t, walk(a))
+            case Neg(arg=a):
+                return jet.neg(t, walk(a))
+            case Call(name=name, arg=a):
+                return getattr(jet, name)(t, walk(a))
             case _:
                 raise TypeError(f"not an expression node: {e!r}")
 
@@ -451,12 +427,10 @@ def variables(e: Expr) -> frozenset[str]:
             return frozenset()
         case Var(name=name):
             return frozenset((name,))
-        case Neg(arg=a) | Exp(arg=a) | Ln(arg=a) | Sin(arg=a) | Cos(arg=a) | Sqrt(arg=a):
+        case Neg(arg=a) | Pow(base=a) | Call(arg=a):
             return variables(a)
-        case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) | Div(left=l, right=r):
+        case BinOp(left=l, right=r):
             return variables(l) | variables(r)
-        case Pow(base=b):
-            return variables(b)
         case _:
             raise TypeError(f"not an expression node: {e!r}")
 

@@ -30,7 +30,7 @@ from .errors import (
     asdict,
     record,
 )
-from .expr import Add, Const, Div, Expr, Mul, Neg, Pow, Sub, Var, eval_jet, num
+from .expr import BinOp, Const, Expr, Neg, Pow, Var, eval_jet, num
 
 _LAZY = ("LWParams", "curvatures", "scan_grid", "summarize")
 
@@ -169,12 +169,12 @@ def _term(coeff: float, factor: Expr | None) -> Expr:
     # match the classification formulas shape for shape.
     if factor is None:
         return num(abs(coeff))
-    return Mul(num(abs(coeff)), factor)
+    return BinOp("*", num(abs(coeff)), factor)
 
 
 def _signed_sum(parts: list[tuple[float, Expr | None]]) -> Expr:
     """Sum of coeff*factor terms; zero coefficients drop, negatives attach
-    through Sub/Neg so constants stay in parse normal form."""
+    through "-" and Neg so constants stay in parse normal form."""
     acc: Expr | None = None
     for coeff, factor in parts:
         if coeff == 0.0:
@@ -183,7 +183,7 @@ def _signed_sum(parts: list[tuple[float, Expr | None]]) -> Expr:
         if acc is None:
             acc = Neg(term) if coeff < 0.0 else term
         else:
-            acc = Sub(acc, term) if coeff < 0.0 else Add(acc, term)
+            acc = BinOp("-" if coeff < 0.0 else "+", acc, term)
     return acc if acc is not None else Const(0.0)
 
 
@@ -192,19 +192,20 @@ def build(spec: FamilySpec) -> Expr:
     match spec:
         case CaseA(f0=f0, m0=m0, n0=n0, d1=d1, d2=d2):
             g = _signed_sum([(n0 / (f0 * m0), Pow(Var("y"), 2.0)), (d1, Var("y")), (d2, None)])
-            return Mul(num(f0), g)
+            return BinOp("*", num(f0), g)
         case CaseB(g0=g0, m0=m0, n0=n0, d3=d3, d4=d4):
             f = _signed_sum([(n0 / (g0 * m0), Pow(Var("x"), 2.0)), (d3, Var("x")), (d4, None)])
-            return Mul(f, num(g0))
+            return BinOp("*", f, num(g0))
         case CaseC(c8=c8, d15=d15, c9=c9, d16=d16):
-            return Mul(
+            return BinOp(
+                "*",
                 _signed_sum([(c8, Var("x")), (d15, None)]),
                 _signed_sum([(c9, Var("y")), (d16, None)]),
             )
         case ParabolicSphere(c3=c3, d8=d8, d9=d9, d10=d10):
             return _signed_sum(
                 [
-                    (c3, Add(Pow(Var("x"), 2.0), Pow(Var("y"), 2.0))),
+                    (c3, BinOp("+", Pow(Var("x"), 2.0), Pow(Var("y"), 2.0))),
                     (d8, Var("x")),
                     (d9, Var("y")),
                     (d10, None),
@@ -215,15 +216,10 @@ def build(spec: FamilySpec) -> Expr:
         case Case31Candidate(c3=c3, c4=c4, d7=d7, d8=d8, d9=d9, m0=m0):
             denom = _signed_sum([(c4, Var("x")), (d9, None)])
             shift = m0 / (2.0 * c3)
-            recip = Div(Const(1.0), denom)
-            inner = (
-                Add(recip, Const(shift))
-                if shift > 0.0
-                else Sub(recip, Const(-shift))
-            )
-            f = Neg(inner)
+            recip = BinOp("/", Const(1.0), denom)
+            f = Neg(BinOp("+", recip, Const(shift)) if shift > 0.0 else BinOp("-", recip, Const(-shift)))
             g = _signed_sum([(c3, Pow(Var("y"), 2.0)), (d7, Var("y")), (d8, None)])
-            return Mul(f, g)
+            return BinOp("*", f, g)
         case _:
             raise InvalidSpecError(f"not a family spec: {spec!r}")
 

@@ -154,6 +154,12 @@ def compile_kernel(source: str, **constants: float):
     return namespace["kernel"]
 
 
+# The most statements a kernel may hold, so that building and compiling one
+# is bounded for any tree: at order 3, x^1.7e308 unrolls into 4,199 and a
+# MAX_DEPTH nest of sqrt into 1,197, while a sum of such powers has no bound.
+_MAX_STATEMENTS = 5_000
+
+
 class Tape:
     """The statements of one kernel, in evaluation order, at a truncation
     order of 0 (the value alone), 2 or 3, and which of the seeds X and Y
@@ -166,11 +172,17 @@ class Tape:
         self.lines: list[str] = []
         self.reads: list[int] = []
 
+    def _append(self, line: str, reads: int) -> None:
+        """Append one statement and the seeds it reads, refused past the cap."""
+        if len(self.lines) >= _MAX_STATEMENTS:
+            raise ValueError(f"kernel exceeds the cap of {_MAX_STATEMENTS} statements")
+        self.lines.append(line)
+        self.reads.append(reads)
+
     def let(self, source: str) -> str:
         reads = _reads(source)
         name = f"{'tXYZ'[reads]}{len(self.lines)}"
-        self.lines.append(f"{name} = {source}")
-        self.reads.append(reads)
+        self._append(f"{name} = {source}", reads)
         return name
 
     def jet(self, *components: str) -> Src:
@@ -191,8 +203,7 @@ class Tape:
         """Append head, an if or a try/except header, with a raise of
         cls(text) under it; the repr of the atom value ends text if given."""
         message = f'f"{text} {{{value}!r}}"' if value else f'"{text}"'
-        self.lines.append(f"{head}:\n    raise errors.{cls}({message}) from None")
-        self.reads.append(_reads(head + value))
+        self._append(f"{head}:\n    raise errors.{cls}({message}) from None", _reads(head + value))
 
     def trap(self, text: str, value: str, *sources: str) -> list[str]:
         """Let each source in turn, raising NumericOverflowError(text value)
@@ -250,6 +261,10 @@ def div(t: Tape, a: Src, b: Src) -> Src:
                 top += f" - {s}"
         q += t.jet("0.0" if top == "0.0" else f"({top}) / {b[0]}")
     return q
+
+
+# The rule of each binary operator, by the symbol that expr.BinOp holds.
+BINARY = {"+": add, "-": sub, "*": mul, "/": div}
 
 
 def chain(t: Tape, j: Src, *derivatives: str) -> Src:

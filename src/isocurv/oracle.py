@@ -3,7 +3,8 @@
 Derivatives come from five-point central stencils applied to plain float
 evaluation only: eval_value runs each tree through closures built once
 per tree, one per node, each doing its node's float operation on what the
-node constructors accept (x or y, a finite exponent). Nothing here touches
+node constructors accept (x or y, an op of + - * /, a function name of
+exp ln sin cos sqrt, a finite exponent). Nothing here touches
 jet propagation, so this path stands as a genuinely separate oracle for
 it: agreement between fd_jet and eval_jet cross-validates both.
 """
@@ -19,7 +20,7 @@ from .errors import (
     NumericOverflowError,
     record,
 )
-from .expr import Add, Const, Cos, Div, Exp, Expr, Ln, Mul, Neg, Pow, Sin, Sqrt, Sub, Var
+from .expr import BinOp, Call, Const, Expr, Neg, Pow, Var
 from .jet import Jet2
 
 ValueFn = Callable[[float, float], float]
@@ -37,17 +38,14 @@ def _plain(e: Expr) -> ValueFn:
         case Neg(arg=a):
             f = _plain(a)
             return lambda x, y: -f(x, y)
-        case Add(left=l, right=r):
+        case BinOp(op=op, left=l, right=r):
             f, g = _plain(l), _plain(r)
-            return lambda x, y: f(x, y) + g(x, y)
-        case Sub(left=l, right=r):
-            f, g = _plain(l), _plain(r)
-            return lambda x, y: f(x, y) - g(x, y)
-        case Mul(left=l, right=r):
-            f, g = _plain(l), _plain(r)
-            return lambda x, y: f(x, y) * g(x, y)
-        case Div(left=l, right=r):
-            f, g = _plain(l), _plain(r)
+            if op == "+":
+                return lambda x, y: f(x, y) + g(x, y)
+            if op == "-":
+                return lambda x, y: f(x, y) - g(x, y)
+            if op == "*":
+                return lambda x, y: f(x, y) * g(x, y)
 
             def div(x, y):
                 den = g(x, y)
@@ -58,39 +56,22 @@ def _plain(e: Expr) -> ValueFn:
             return div
         case Pow(base=b, exponent=ex):
             return _power(_plain(b), ex)
-        case Exp(arg=a):
-            f = _plain(a)
+        case Call(name=name, arg=a):
+            f, fn = _plain(a), getattr(math, "log" if name == "ln" else name)
+            positive = name in ("ln", "sqrt")
 
-            def exp(x, y):
-                try:
-                    return math.exp(f(x, y))
-                except OverflowError:
-                    raise NumericOverflowError("exp overflow") from None
-
-            return exp
-        case Ln(arg=a) | Sqrt(arg=a):
-            f = _plain(a)
-            fn, name = (math.log, "ln") if isinstance(e, Ln) else (math.sqrt, "sqrt")
-
-            def root(x, y):
+            def call(x, y):
                 v = f(x, y)
-                if v <= 0.0:
+                if positive and v <= 0.0:
                     raise EvaluationDomainError(f"{name} of non-positive value {v!r}")
-                return fn(v)
-
-            return root
-        case Sin(arg=a) | Cos(arg=a):
-            f = _plain(a)
-            fn = math.sin if isinstance(e, Sin) else math.cos
-
-            def trig(x, y):
-                v = f(x, y)
                 try:
                     return fn(v)
-                except ValueError:
-                    raise NumericOverflowError(f"{fn.__name__} of non-finite argument {v!r}") from None
+                except OverflowError:  # exp's only
+                    raise NumericOverflowError("exp overflow") from None
+                except ValueError:  # sin's and cos's, of an infinite argument
+                    raise NumericOverflowError(f"{name} of non-finite argument {v!r}") from None
 
-            return trig
+            return call
         case _:
             # Refused when reached, as the walk did, so an error met
             # earlier in the tree still comes first.

@@ -15,23 +15,7 @@ import random
 import pytest
 
 from isocurv.errors import IsocurvError
-from isocurv.expr import (
-    Add,
-    Cos,
-    Div,
-    Exp,
-    Expr,
-    Ln,
-    Mul,
-    Neg,
-    Pow,
-    Sin,
-    Sqrt,
-    Sub,
-    Var,
-    eval_jet,
-    num,
-)
+from isocurv.expr import BinOp, Call, Expr, Neg, Pow, Var, eval_jet, num
 
 SEED = 20260816
 COMPONENT_CAP = 50.0
@@ -47,13 +31,13 @@ def _leaf(rng: random.Random) -> Expr:
 
 
 def _damped(rng: random.Random, depth: int) -> Expr:
-    return Mul(num(round(rng.uniform(0.3, 0.8), 3)), random_expr(rng, depth))
+    return BinOp("*", num(round(rng.uniform(0.3, 0.8), 3)), random_expr(rng, depth))
 
 
 def _shaped_positive(rng: random.Random, depth: int) -> Expr:
     c = round(rng.uniform(2.0, 3.5), 3)
     w = random_expr(rng, min(depth, 1))
-    return Add(num(c), Mul(w, w))
+    return BinOp("+", num(c), BinOp("*", w, w))
 
 
 def random_expr(rng: random.Random, depth: int) -> Expr:
@@ -65,25 +49,25 @@ def random_expr(rng: random.Random, depth: int) -> Expr:
         return random_expr(rng, depth - 1)
 
     if r < 0.14:
-        return Add(child(), child())
+        return BinOp("+", child(), child())
     if r < 0.26:
-        return Sub(child(), child())
+        return BinOp("-", child(), child())
     if r < 0.44:
-        return Mul(child(), child())
+        return BinOp("*", child(), child())
     if r < 0.52:
-        return Div(child(), _shaped_positive(rng, depth - 1))
+        return BinOp("/", child(), _shaped_positive(rng, depth - 1))
     if r < 0.58:
         return Neg(child())
     if r < 0.68:
-        return Sin(_damped(rng, depth - 1))
+        return Call("sin", _damped(rng, depth - 1))
     if r < 0.76:
-        return Cos(_damped(rng, depth - 1))
+        return Call("cos", _damped(rng, depth - 1))
     if r < 0.83:
-        return Exp(_damped(rng, depth - 1))
+        return Call("exp", _damped(rng, depth - 1))
     if r < 0.89:
-        return Ln(_shaped_positive(rng, depth - 1))
+        return Call("ln", _shaped_positive(rng, depth - 1))
     if r < 0.94:
-        return Sqrt(_shaped_positive(rng, depth - 1))
+        return Call("sqrt", _shaped_positive(rng, depth - 1))
     if r < 0.98:
         return Pow(child(), float(rng.choice([2, 3])))
     return Pow(_shaped_positive(rng, depth - 1), 0.5)

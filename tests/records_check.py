@@ -27,16 +27,9 @@ SAMPLES = {
     expr.Const: (1.5,),
     expr.Var: ("x",),
     expr.Neg: (X,),
-    expr.Add: (X, Y),
-    expr.Sub: (X, Y),
-    expr.Mul: (X, Y),
-    expr.Div: (X, Y),
+    expr.BinOp: ("+", X, Y),
     expr.Pow: (X, 2.0),
-    expr.Exp: (X,),
-    expr.Ln: (X,),
-    expr.Sin: (X,),
-    expr.Cos: (X,),
-    expr.Sqrt: (X,),
+    expr.Call: ("exp", X),
     expr._Token: ("num", "1", 0),
     families.CaseA: (1.0, 2.0, 3.0, 0.0, 0.5),
     families.CaseB: (1.0, 2.0, 3.0, 0.0, 0.5),
@@ -65,9 +58,10 @@ FIELDS = {
     "exclusion_radius=0.0 singular_loci=()",
     "Const": "value",
     "Var": "name",
-    **dict.fromkeys(("Neg", "Exp", "Ln", "Sin", "Cos", "Sqrt"), "arg"),
-    **dict.fromkeys(("Add", "Sub", "Mul", "Div"), "left right"),
+    "Neg": "arg",
+    "BinOp": "op left right",
     "Pow": "base exponent",
+    "Call": "name arg",
     "_Token": "kind text offset",
     "CaseA": "f0 m0 n0 d1 d2",
     "CaseB": "g0 m0 n0 d3 d4",
@@ -89,6 +83,13 @@ FIELDS = {
     "ResidualReport": "n_samples max_abs mean_abs std_dev worst_point",
 }
 UNCOMPARED = {"JetComparison": {"deviations"}}
+
+# The cases test_records checks each record behaviour on, by name: each
+# record class with its sample, and a BinOp of each operator and a Call of
+# each function, named for the operation (Add, ..., Sqrt).
+CASES = {cls.__name__: (cls, args) for cls, args in SAMPLES.items()}
+CASES.update((name, (expr.BinOp, (op, X, Y))) for name, op in zip(("Add", "Sub", "Mul", "Div"), "+-*/"))
+CASES.update((name, (expr.Call, (name.lower(), X))) for name in ("Exp", "Ln", "Sin", "Cos", "Sqrt"))
 
 
 def check(cls) -> None:

@@ -42,7 +42,7 @@ from isocurv import (
     verify_family,
     weingarten_jacobian,
 )
-from isocurv.expr import Add, Const, Div, Mul, Neg, Var, num
+from isocurv.expr import BinOp, Const, Neg, Var, num
 
 
 def criterion(index: int, name: str):
@@ -252,8 +252,9 @@ def test_criterion_08():
             continue
         shift = rm0 / (2.0 * rc3)
         tree = Neg(
-            Add(
-                Div(Const(1.0), Add(Mul(num(rc4), Var("x")), num(rd9))),
+            BinOp(
+                "+",
+                BinOp("/", Const(1.0), BinOp("+", BinOp("*", num(rc4), Var("x")), num(rd9))),
                 Const(shift),
             )
         )

@@ -368,6 +368,9 @@ def test_a_spec_that_nests_too_deeply_is_invalid_json(capsys, tmp_path, command)
          "grid exceeds the cap of 10000000 nodes"),
         ("ode --ode saturated-linear --c5 1 --f0 1 --fp0 0 --t-end 1e6 --step 1e-6",
          "span / step exceeds the cap of 10000000 steps"),
+        # Each term's third-order jet unrolls into 4,199 statements.
+        ("scan --surface x^1.7e308+x^1.7e308 --residual jacobian --grid 2,2 "
+         "--domain=-0.5,0.5,-0.5,0.5", "kernel exceeds the cap of 5000 statements"),
     ],
 )
 def test_work_is_capped(argv, message):

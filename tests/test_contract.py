@@ -82,9 +82,10 @@ SURFACES = (
          # row, once, for x and y at one node, and at a mixed node.
          "sqrt(x)+y", "x+ln(y)", "ln(-1)+x*y", "x^-1+y^-1", "exp(1000*x*y)", "1/(x*y)"]
     ),
-    # With number texts at the edges of the tokenizer's number form.
+    # With number texts at the edges of the tokenizer's number form, and a
+    # 999-character sum whose kernel passes the statement cap at any order.
     st.one_of(st.sampled_from(["", "x +", "2x", "x^y", "foo(x)", "(x", "x\u00b2", "1.", ".5", "1e",
-                               "1e+", "1.e5", "..5", "1e5e5"]), NESTS),
+                               "1e+", "1.e5", "..5", "1e5e5", "+".join(["x^1.7e308"] * 100)]), NESTS),
 )
 KINDS = (CaseA, CaseB, CaseC, ParabolicSphere, NonIsotropicPlane, Case31Candidate)
 # The messages of bare Python errors, which a refusal must not repeat.

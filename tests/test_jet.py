@@ -20,7 +20,7 @@ from isocurv.errors import (
     NumericOverflowError,
 )
 from isocurv.curvature import curvatures, euler_residual
-from isocurv.expr import Add, Div, Expr, Mul, Pow, _emit, compile_jet, eval_jet, lift_1d, num, parse
+from isocurv.expr import BinOp, Expr, Pow, _emit, compile_jet, eval_jet, lift_1d, num, parse
 from isocurv.jet import Jet2, Tape
 from isocurv.oracle import eval_value
 from isocurv.weingarten import LWParams, euler_residual_fn, lw_residual, lw_residual_fn
@@ -41,7 +41,7 @@ def taylor(v, dx, dy, dxx, dxy, dyy):
     """A quadratic whose jet at the origin has the given components."""
     e = num(v)
     for c, m in zip((dx, dy, dxx / 2.0, dxy, dyy / 2.0), _MONOMIALS):
-        e = Add(e, Mul(num(c), m))
+        e = BinOp("+", e, BinOp("*", num(c), m))
     return e
 
 
@@ -68,7 +68,7 @@ def jets3():
     be nonzero."""
     def cubic(quadratic, coefficients):
         for c, m in zip(coefficients, _CUBICS):
-            quadratic = Add(quadratic, Mul(num(c), m))
+            quadratic = BinOp("+", quadratic, BinOp("*", num(c), m))
         return quadratic
 
     return st.builds(cubic, jets2(), st.tuples(finite, finite, finite, finite))
@@ -98,7 +98,7 @@ def test_taylor_helper_reproduces_components():
 def test_division_matches_product_rule():
     a = taylor(3.0, 1.0, 2.0, 0.5, -1.0, 4.0)
     b = taylor(2.0, -1.0, 0.5, 1.0, 0.25, -0.5)
-    back = jet_at_origin(Mul(Div(a, b), b))
+    back = jet_at_origin(BinOp("*", BinOp("/", a, b), b))
     want = jet_at_origin(a)
     for name in COMPONENTS:
         assert getattr(back, name) == pytest.approx(getattr(want, name), abs=1e-12)
@@ -211,18 +211,18 @@ def test_sqrt_of_a_tiny_argument_overflows_cleanly():
 
 @given(jets2(), jets2())
 def test_multiplication_commutes_bit_for_bit(a, b):
-    assert bits(jet_at_origin(Mul(a, b))) == bits(jet_at_origin(Mul(b, a)))
+    assert bits(jet_at_origin(BinOp("*", a, b))) == bits(jet_at_origin(BinOp("*", b, a)))
 
 
 @given(jets2(), jets2())
 def test_addition_commutes_bit_for_bit(a, b):
-    assert bits(jet_at_origin(Add(a, b))) == bits(jet_at_origin(Add(b, a)))
+    assert bits(jet_at_origin(BinOp("+", a, b))) == bits(jet_at_origin(BinOp("+", b, a)))
 
 
 @given(jets2(), jets2(), jets2())
 def test_multiplication_distributes_approximately(a, b, c):
-    left = jet_at_origin(Mul(a, Add(b, c)))
-    right = jet_at_origin(Add(Mul(a, b), Mul(a, c)))
+    left = jet_at_origin(BinOp("*", a, BinOp("+", b, c)))
+    right = jet_at_origin(BinOp("+", BinOp("*", a, b), BinOp("*", a, c)))
     for name in COMPONENTS:
         lv = getattr(left, name)
         rv = getattr(right, name)
@@ -231,7 +231,7 @@ def test_multiplication_distributes_approximately(a, b, c):
 
 @given(jets2(), jets2(nonzero_value=True))
 def test_division_inverts_multiplication(a, b):
-    q = jet_at_origin(Div(Mul(a, b), b))
+    q = jet_at_origin(BinOp("/", BinOp("*", a, b), b))
     want = jet_at_origin(a)
     for name in COMPONENTS:
         qv = getattr(q, name)
@@ -344,13 +344,15 @@ def test_third_partials_match_closed_forms(surface):
 @given(jets3(), jets3())
 def test_order_3_multiplication_commutes_bit_for_bit(a, b):
     names = COMPONENTS + THIRD
-    assert bits(eval_jet(Mul(a, b), ORIGIN, 3), names) == bits(eval_jet(Mul(b, a), ORIGIN, 3), names)
+    assert bits(eval_jet(BinOp("*", a, b), ORIGIN, 3), names) == bits(
+        eval_jet(BinOp("*", b, a), ORIGIN, 3), names)
 
 
 @given(jets3(), jets3())
 def test_order_3_addition_commutes_bit_for_bit(a, b):
     names = COMPONENTS + THIRD
-    assert bits(eval_jet(Add(a, b), ORIGIN, 3), names) == bits(eval_jet(Add(b, a), ORIGIN, 3), names)
+    assert bits(eval_jet(BinOp("+", a, b), ORIGIN, 3), names) == bits(
+        eval_jet(BinOp("+", b, a), ORIGIN, 3), names)
 
 
 @pytest.mark.parametrize(

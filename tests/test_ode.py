@@ -21,7 +21,7 @@ from isocurv import (
     shifted_reciprocal_solution,
 )
 from isocurv import ode
-from isocurv.expr import Add, Const, Div, Mul, Neg, Var, num
+from isocurv.expr import BinOp, Const, Neg, Var, num
 
 
 # -- construction and validation -------------------------------------------------
@@ -347,8 +347,9 @@ def test_residual_vanishes_on_jets_of_the_solution_family():
             continue
         shift = m0 / (2.0 * c3)
         tree = Neg(
-            Add(
-                Div(Const(1.0), Add(Mul(num(c4), Var("x")), num(d9))),
+            BinOp(
+                "+",
+                BinOp("/", Const(1.0), BinOp("+", BinOp("*", num(c4), Var("x")), num(d9))),
                 Const(shift),
             )
         )
