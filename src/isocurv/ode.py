@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 
 from .errors import (
     DegenerateODEError,
@@ -97,17 +98,45 @@ class IVP:
             raise ValueError(f"span / step exceeds the cap of {_MAX_STEPS} steps")
 
 
-# The step-doubling loop. STAGES stands for the step's 11 evaluations of f'': the full
-# step's four, the first half step's last three (its first is the full step's), the second's four.
+class Trajectory:
+    """The rows (t, f, f') of an integration, held as three array('d')
+    columns t, f and fp: 24 bytes a row, and a row is made a tuple only
+    when it is read. len, an index (negative too) and iteration give rows;
+    a slice gives a list of them. The columns grow as the loop steps and
+    are never sized for the whole span, which may be _MAX_STEPS rows, so a
+    run that fails early holds only the rows it took."""
+
+    __slots__ = ("t", "f", "fp")
+
+    def __init__(self):
+        self.t, self.f, self.fp = array("d"), array("d"), array("d")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k: int | slice):
+        if isinstance(k, slice):
+            return list(zip(self.t[k], self.f[k], self.fp[k]))
+        return self.t[k], self.f[k], self.fp[k]
+
+    def __iter__(self):
+        return zip(self.t, self.f, self.fp)
+
+
+# The step-doubling loop, which appends each row to the columns of traj. STAGES stands for
+# the step's 11 evaluations of f'': the full step's four, the first half step's last three
+# (its first is the full step's), the second's four.
 _LOOP = """\
-def run(t0, f, fp, n, h):
+def run(t0, f, fp, n, h, traj):
     hh = 0.5 * h
     qh = 0.5 * hh
     h6 = h / 6.0
     hh6 = hh / 6.0
     t = t0
-    out = [(t, f, fp)]
-    append = out.append
+    put_t, put_f, put_fp = traj.t.append, traj.f.append, traj.fp.append
+    put_t(t)
+    put_f(f)
+    put_fp(fp)
     for k in range(1, n + 1):
         STAGES
         err_f, err_fp = abs(f_full - f_2), abs(fp_full - fp_2)
@@ -118,8 +147,9 @@ def run(t0, f, fp, n, h):
             raise NumericOverflowError("non-finite state in the step from t = " + repr(t))
         f, fp = f_full, fp_full
         t = t0 + k * h
-        append((t, f, fp))
-    return out
+        put_t(t)
+        put_f(f)
+        put_fp(fp)
 """
 
 
@@ -153,8 +183,9 @@ def _stepper(rhs: tuple):
     return compile(_LOOP.replace("STAGES", "\n        ".join(stages)), "<rk4 stepper>", "exec")
 
 
-def integrate(ivp: IVP) -> list[tuple[float, float, float]]:
-    """Trajectory [(t, f, f'), ...] from t0 to t_end inclusive.
+def integrate(ivp: IVP) -> Trajectory:
+    """The Trajectory of rows (t, f, f') from t0 to t_end inclusive: one
+    row more than the steps taken.
 
     The span is divided into round(span/step) equal steps. Every step is
     also taken as two half steps; a discrepancy above LOCAL_ERROR_LIMIT
@@ -170,7 +201,9 @@ def integrate(ivp: IVP) -> list[tuple[float, float, float]]:
     exec(_stepper(rhs[:2]), namespace)
     span = ivp.t_end - ivp.t0
     n = max(1, round(span / ivp.step))
-    return namespace["run"](ivp.t0, ivp.f0, ivp.fp0, n, span / n)
+    traj = Trajectory()
+    namespace["run"](ivp.t0, ivp.f0, ivp.fp0, n, span / n, traj)
+    return traj
 
 
 def shifted_reciprocal_solution(

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -47,12 +48,51 @@ def test_ivp_validation():
 
 
 def test_trajectory_shape():
+    # A trajectory reads as a sequence of (t, f, f') rows of floats; integer
+    # start data is held as floats like every later row.
     rhs = SaturatedLinearODE(c5=1.0, d10=0.0)
-    traj = integrate(IVP(rhs, t0=0.0, f0=1.0, fp0=0.0, t_end=1.0, step=0.3))
+    traj = integrate(IVP(rhs, t0=0, f0=1, fp0=0, t_end=1, step=0.3))
+    rows = list(traj)
     # 1/0.3 rounds to 3 equal steps
-    assert len(traj) == 4
+    assert len(traj) == len(rows) == 4
+    assert all(type(row) is tuple and len(row) == 3 and all(type(v) is float for v in row) for row in rows)
     assert traj[0] == (0.0, 1.0, 0.0)
+    assert traj[-1] == rows[-1] == traj[3]
     assert traj[-1][0] == pytest.approx(1.0, abs=1e-15)
+    assert traj[::2] == [rows[0], rows[2]] and traj[-2:] == rows[2:] and traj[3:1] == []
+    assert list(traj) == rows  # iterating again gives the same rows
+    with pytest.raises(IndexError):
+        traj[4]
+
+
+def test_a_trajectory_holds_three_floats_a_step():
+    # Three 8-byte columns grown by appending take about 24.4 bytes a step;
+    # a list of (t, f, f') tuples would take 132.
+    ivp = IVP(SaturatedLinearODE(c5=1.0, d10=0.5), t0=0.0, f0=1.0, fp0=0.0, t_end=1.0, step=1e-4)
+    integrate(ivp)  # compiles the stepper, which is kept for later calls
+    tracemalloc.start()
+    try:
+        traj = integrate(ivp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 10_001
+    assert peak <= 32 * 10_000
+
+
+def test_a_run_that_fails_at_its_first_step_commits_no_memory_for_its_span():
+    # Nearly ode._MAX_STEPS steps are allowed, but the start sits on the
+    # vanishing denominator: columns sized for the span would take 240 MB.
+    ivp = IVP(ShiftedReciprocalODE(1.0, 1.0), 0.0, -0.5, 1.0, 1.0, 1e-7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DegenerateODEError) as exc_info:
+            integrate(ivp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc_info.value.t == 0.0
+    assert peak < 1 << 20
 
 
 # -- benchmarks against closed forms ----------------------------------------------
